@@ -17,13 +17,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max", type=int, default=2000, help="exclusive upper bound")
     ap.add_argument("--out", default="chart.csv")
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    code = cli_main(
-        ["table", "--max", str(args.max), "--out", args.out, "--workers", str(args.workers)]
-    )
+    code = cli_main(["table", "--max", str(args.max), "--out", args.out])
     if code != 0:
         return code
     elapsed = time.perf_counter() - t0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import sympy
 
@@ -147,10 +147,3 @@ def four_square_decomposition(x: int) -> tuple[int, int, int, int]:
             x2 += 1
         x1 += 1
     raise AssertionError(f"no four-square decomposition found for {x}")
-
-
-def odd_primes_mod3_eq2(n: int) -> Iterator[int]:
-    """Odd primes p = 2 (mod 3) dividing the square-free part of n."""
-    for p, e in factorize(n).prime_powers:
-        if p != 2 and e % 2 == 1 and p % 3 == 2:
-            yield p

@@ -51,7 +51,7 @@ def _print_result(res: CmResult) -> None:
 
 
 def cmd_c(args: argparse.Namespace) -> int:
-    res = compute_C(args.m, args.r, n_max=args.n_max, workers=args.workers)
+    res = compute_C(args.m, args.r, n_max=args.n_max)
     _print_result(res)
     return EXIT_UNRESOLVED if res.reason is Reason.UNRESOLVED else EXIT_OK
 
@@ -81,7 +81,7 @@ def cmd_vectors(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
     if args.algo == "modified":
-        out = modified_five_cycle(args.t, workers=args.workers)
+        out = modified_five_cycle(args.t)
     else:
         vs = vectors.vector_set(args.t)
         if args.algo == "brute":
@@ -93,10 +93,10 @@ def cmd_search(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_USAGE
-            out = brute_force(vs, args.length, workers=args.workers)
+            out = brute_force(vs, args.length)
         else:
             try:
-                out = meet_in_middle(vs, args.length, workers=args.workers)
+                out = meet_in_middle(vs, args.length)
             except SearchMemoryError as exc:
                 print(f"memory budget exceeded: {exc}", file=sys.stderr)
                 return EXIT_USAGE
@@ -113,9 +113,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _table_rows(max_n: int, n_max: int, workers: int):
+def _table_rows(max_n: int, n_max: int):
     for n in range(2, max_n, 4):
-        res = compute_C(3, n, n_max=n_max, workers=workers)
+        res = compute_C(3, n, n_max=n_max)
         if res.value is None:
             raise RuntimeError(f"search unresolved at n={n}")
         yield n, res.value
@@ -124,7 +124,7 @@ def _table_rows(max_n: int, n_max: int, workers: int):
 def cmd_table(args: argparse.Namespace) -> int:
     lines = ["n,c3"]
     try:
-        for n, c3 in _table_rows(args.max, args.n_max, args.workers):
+        for n, c3 in _table_rows(args.max, args.n_max):
             lines.append(f"{n},{c3}")
     except RuntimeError as exc:
         print(str(exc), file=sys.stderr)
@@ -159,7 +159,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _record_from_result(
-    res: CmResult, elapsed_ms: int, shard_id: int, workers: int
+    res: CmResult, elapsed_ms: int, shard_id: int
 ) -> store.ResultRecord:
     cert = None
     if res.certificate is not None:
@@ -179,7 +179,7 @@ def _record_from_result(
         elapsed_ms=elapsed_ms,
         nodes_examined=res.nodes_examined,
         shard_id=shard_id,
-        worker_count=workers,
+        worker_count=1,  # schema v1 field; searches run in one thread
     )
 
 
@@ -199,21 +199,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     targets = [
         t for idx, t in enumerate(range(first, hi + 1, 4)) if idx % args.shards == args.shard_id
     ]
-    done = store.resolved_keys(args.out)
+    try:
+        done = store.resolved_keys(args.out)
+    except store.StoreError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_VERIFY
     unresolved = 0
     for t in targets:
         if (3, t) in done:
             continue
         t0 = time.perf_counter()
-        res = compute_C(3, t, n_max=args.n_max, workers=args.workers)
+        res = compute_C(3, t, n_max=args.n_max)
         elapsed_ms = int((time.perf_counter() - t0) * 1000)
         if res.reason is Reason.UNRESOLVED:
             unresolved += 1
             print(f"unresolved at t={t}", file=sys.stderr)
-        store.append(
-            args.out,
-            _record_from_result(res, elapsed_ms, args.shard_id, args.workers),
-        )
+        store.append(args.out, _record_from_result(res, elapsed_ms, args.shard_id))
     return EXIT_UNRESOLVED if unresolved else EXIT_OK
 
 
@@ -234,14 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_workers(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workers", type=int, default=1)
-
     p = sub.add_parser("c", help="resolve C_m(r)")
     p.add_argument("m", type=int)
     p.add_argument("r", type=int)
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    add_workers(p)
     p.set_defaults(func=cmd_c)
 
     p = sub.add_parser("decompose", help="triples a<=b<=c with a^2+b^2+c^2 = z")
@@ -262,20 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("brute", "mitm", "modified"), required=True)
     p.add_argument("--length", type=int, default=5)
     p.add_argument("--budget", type=int, default=None)
-    add_workers(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("table", help="C_3 chart for n = 2 (mod 4), n < max")
     p.add_argument("--max", type=int, default=2000)
     p.add_argument("--out", default=None)
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    add_workers(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("density", help="class-T density rows")
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--out", default=None)
-    add_workers(p)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("verify", help="validate a record file")
@@ -288,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard-id", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    add_workers(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("merge", help="merge record files")

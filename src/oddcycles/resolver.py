@@ -40,12 +40,7 @@ class CmResult:
     nodes_examined: int = 0
 
 
-def compute_C(
-    m: int,
-    r: int,
-    n_max: int = DEFAULT_N_MAX,
-    workers: int = 1,
-) -> CmResult:
+def compute_C(m: int, r: int, n_max: int = DEFAULT_N_MAX) -> CmResult:
     """Resolve the minimum odd cycle length for magnitude-sq r in Z^m."""
     if m < 1 or r < 1:
         raise ValueError(f"m and r must be positive, got ({m}, {r})")
@@ -68,7 +63,7 @@ def compute_C(
         return CmResult(m, r, 0, Reason.ODD_R, None, core)
     if classify(core) is STClass.S:
         return CmResult(m, r, 3, Reason.TRIANGLE, triangle_cycle(core), core)
-    res = min_odd_cycle(core, n_max=n_max, workers=workers)
+    res = min_odd_cycle(core, n_max=n_max)
     nodes = sum(out.nodes_examined for out in res.outcomes)
     if res.unresolved:
         return CmResult(m, r, None, Reason.UNRESOLVED, None, core, nodes)

@@ -4,13 +4,22 @@ Three engines with a common outcome type:
 
 * brute_force        -- enumerate multisets of odd size n in index order,
                         with component-wise partial-sum pruning;
-* meet_in_middle     -- hash-join of floor(n/2)-sums against ceil(n/2)-sums,
-                        vectorized; exhaustion-capable at sizes where brute
-                        force is hopeless;
+* meet_in_middle     -- join of floor(n/2)-sums against ceil(n/2)-sums;
+                        exhaustion-capable at sizes where brute force is
+                        hopeless;
 * modified_five_cycle -- 5-cycle search seeded by a closing pair of vectors
                         that agree in two coordinates and differ in sign in
                         the third, so the remaining three vectors must sum
                         to a doubled, one-coordinate-zeroed vector.
+
+Both joins run on one kernel, _first_hit.  Each vector gets one int64
+scalar key, linear in its coordinates, so a multiset's key is the sum of
+its vectors' keys; _half_sums builds them in lexicographic index order.
+The kernel sorts the left side stably and probes it chunk by chunk up to
+the first hit.  The certificate is read back from the two row numbers
+(_unrank), so it is the lexicographically first one the join admits.  The
+engines run in one thread; parallel runs split a range of t into shards
+(`oddcycles run --shards`).
 
 Every cycle an engine returns is re-verified internally before it escapes.
 """
@@ -18,10 +27,9 @@ Every cycle an engine returns is re-verified internally before it escapes.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb, isqrt
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -103,37 +111,35 @@ def _check_length(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _brute_range(
+def brute_force(
     vs: VectorSet,
     n: int,
-    i1_lo: int,
-    i1_hi: int,
-    node_budget: Optional[int],
-    prune: bool = True,
-) -> tuple[Optional[tuple[LatticeVector, ...]], bool, int]:
-    """Search multisets whose first (smallest) index lies in [i1_lo, i1_hi).
+    node_budget: Optional[int] = None,
+) -> SearchOutcome:
+    """Exhaustive multiset enumeration in non-decreasing index order.
 
-    Returns (cycle vectors or None, exhausted, nodes examined).
+    A prefix is cut off when a coordinate of its partial sum is larger in
+    absolute value than the remaining vectors can cancel.  nodes_examined
+    counts the index prefixes visited, cut ones included.
     """
+    _check_length(n)
+    start = time.perf_counter()
     vecs = vs.vectors
     nv = len(vecs)
     cmax = isqrt(vs.t)
     nodes = 0
     stack: list[LatticeVector] = []
 
-    def rec(start: int, depth: int, sx: int, sy: int, sz: int) -> Optional[bool]:
+    def rec(lo: int, depth: int, sx: int, sy: int, sz: int) -> Optional[bool]:
         # None = found (stack holds the cycle); False = budget blown
         nonlocal nodes
         remaining = n - depth
         if remaining == 0:
             return None if sx == 0 and sy == 0 and sz == 0 else True
-        if prune:
-            bound = remaining * cmax
-            if abs(sx) > bound or abs(sy) > bound or abs(sz) > bound:
-                return True
-        lo = i1_lo if depth == 0 else start
-        hi = i1_hi if depth == 0 else nv
-        for i in range(lo, hi):
+        bound = remaining * cmax
+        if abs(sx) > bound or abs(sy) > bound or abs(sz) > bound:
+            return True
+        for i in range(lo, nv):
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return False
@@ -148,106 +154,44 @@ def _brute_range(
         return True
 
     res = rec(0, 0, 0, 0, 0)
-    if res is None:
-        return tuple(stack), False, nodes
-    return None, res, nodes
-
-
-def brute_force(
-    vs: VectorSet,
-    n: int,
-    workers: int = 1,
-    node_budget: Optional[int] = None,
-    prune: bool = True,
-) -> SearchOutcome:
-    """Exhaustive multiset enumeration in non-decreasing index order."""
-    _check_length(n)
-    start = time.perf_counter()
-    nv = len(vs.vectors)
-    if nv == 0:
-        return SearchOutcome(vs.t, n, None, True, 0, time.perf_counter() - start)
-
-    if workers <= 1:
-        found, exhausted, nodes = _brute_range(vs, n, 0, nv, node_budget, prune)
-    else:
-        per = max(1, nv // workers)
-        ranges = [(lo, min(lo + per, nv)) for lo in range(0, nv, per)]
-        share = None if node_budget is None else max(1, node_budget // len(ranges))
-        found, exhausted, nodes = None, True, 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_brute_range, vs, n, lo, hi, share) for lo, hi in ranges
-            ]
-            for fut in futs:
-                f, ex, nd = fut.result()
-                nodes += nd
-                exhausted = exhausted and ex
-                if f is not None and found is None:
-                    found = f
-        if found is not None:
-            exhausted = False
-
     elapsed = time.perf_counter() - start
-    if found is not None:
-        cycle = OddCycle.from_vectors(vs.t, found)
+    if res is None:
+        cycle = OddCycle.from_vectors(vs.t, stack)
         return SearchOutcome(vs.t, n, cycle, False, nodes, elapsed)
-    budget_hit = not exhausted
-    return SearchOutcome(vs.t, n, None, exhausted, nodes, elapsed, budget_hit)
+    return SearchOutcome(vs.t, n, None, res, nodes, elapsed, not res)
 
 
 # ---------------------------------------------------------------------------
-# meet in the middle
+# the join kernel
 # ---------------------------------------------------------------------------
 
 
-def _pack(sums: np.ndarray, base: int, offset: int) -> np.ndarray:
-    return (
-        (sums[:, 0] + offset) * base + (sums[:, 1] + offset)
-    ) * base + (sums[:, 2] + offset)
+def _key_base(vs: VectorSet, span: int) -> int:
+    """Base B of the scalar keys for sums of up to `span` vectors of vs.
 
-
-def _half_sums(
-    arr: np.ndarray, h: int, seed_lo: int, seed_hi: int
-) -> np.ndarray:
-    """Sums of all h-multisets over arr whose smallest index is in [seed_lo, seed_hi).
-
-    Built level by level; the running minimum-next-index constraint keeps
-    every multiset enumerated exactly once.
+    B = 2*offset + 1 with offset = span * (largest coordinate), so every
+    such sum has coordinates in [-offset, offset]: balanced base-B digits,
+    whose key (x*B + y)*B + z is unique and below 2**61 in absolute value.
     """
-    nv = len(arr)
-    sums = arr[seed_lo:seed_hi].astype(np.int64)
-    last = np.arange(seed_lo, seed_hi, dtype=np.int64)
-    for _ in range(h - 1):
-        counts = nv - last
-        total = int(counts.sum())
-        rows = np.repeat(np.arange(len(last)), counts)
-        starts = np.cumsum(counts) - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        ks = last[rows] + within
-        sums = sums[rows] + arr[ks]
-        last = ks
-    return sums
+    offset = span * max(abs(x) for v in vs.vectors for x in v)
+    base = 2 * offset + 1
+    if base**3 > 2**62:
+        raise ValueError(f"t={vs.t} too large for scalar-key search")
+    return base
 
 
-def _find_multiset(
-    vecs: Sequence[LatticeVector], h: int, target: tuple[int, int, int], cmax: int
-) -> Optional[list[LatticeVector]]:
-    """One h-multiset of vecs summing to target, or None."""
+def _keys(vecs: Sequence[Sequence[int]], base: int) -> np.ndarray:
+    """Scalar key (x*B + y)*B + z of each 3-vector.
 
-    def rec(start: int, left: int, tx: int, ty: int, tz: int) -> Optional[list]:
-        if left == 0:
-            return [] if tx == 0 and ty == 0 and tz == 0 else None
-        bound = left * cmax
-        if abs(tx) > bound or abs(ty) > bound or abs(tz) > bound:
-            return None
-        for i in range(start, len(vecs)):
-            v = vecs[i]
-            sub = rec(i, left - 1, tx - v[0], ty - v[1], tz - v[2])
-            if sub is not None:
-                return [v] + sub
-        return None
+    The key is linear: the key of a sum is the sum of the keys.
+    """
+    arr = np.asarray(vecs, dtype=np.int64).reshape(-1, 3)
+    return (arr[:, 0] * base + arr[:, 1]) * base + arr[:, 2]
 
-    return rec(0, h, *target)
+
+def _count_from(nv: int, h: int, i: int) -> int:
+    """Number of h-multisets of indices in [0, nv) whose smallest is i."""
+    return comb((nv - i) + h - 2, h - 1)
 
 
 def _seed_chunks(nv: int, h: int, chunk_target: int) -> list[tuple[int, int]]:
@@ -256,8 +200,7 @@ def _seed_chunks(nv: int, h: int, chunk_target: int) -> list[tuple[int, int]]:
     lo = 0
     acc = 0
     for i in range(nv):
-        # multisets of size h with smallest index exactly i
-        cnt = comb((nv - i) + h - 2, h - 1)
+        cnt = _count_from(nv, h, i)
         if acc and acc + cnt > chunk_target:
             chunks.append((lo, i))
             lo = i
@@ -268,13 +211,84 @@ def _seed_chunks(nv: int, h: int, chunk_target: int) -> list[tuple[int, int]]:
     return chunks
 
 
+def _half_sums(keys: np.ndarray, h: int, seed_lo: int, seed_hi: int) -> np.ndarray:
+    """Keys of all h-multisets over keys whose smallest index is in [seed_lo, seed_hi).
+
+    Rows come in lexicographic order of their index tuples, the order of
+    itertools.combinations_with_replacement: built level by level, each row
+    is extended by every index from its last one up.
+    """
+    nv = len(keys)
+    sums = keys[seed_lo:seed_hi]
+    last = np.arange(seed_lo, seed_hi, dtype=np.int64)
+    for _ in range(h - 1):
+        counts = nv - last
+        rows = np.repeat(np.arange(len(last)), counts)
+        # row r's new indices run from last[r] to nv - 1
+        ks = np.arange(len(rows), dtype=np.int64)
+        ks -= np.repeat(np.cumsum(counts) - counts - last, counts)
+        sums = sums[rows]
+        del rows  # freed before keys[ks] is gathered: a lower peak
+        sums += keys[ks]
+        last = ks
+    return sums
+
+
+def _unrank(nv: int, h: int, row: int) -> tuple[int, ...]:
+    """Index tuple of row `row` of the h-multisets over [0, nv), in the row
+    order of _half_sums."""
+    idx = []
+    lo = 0
+    for left in range(h, 0, -1):
+        while row >= (cnt := _count_from(nv, left, lo)):
+            row -= cnt
+            lo += 1
+        idx.append(lo)
+    return tuple(idx)
+
+
+def _first_hit(
+    left: np.ndarray, probes: Iterable[np.ndarray]
+) -> tuple[Optional[tuple[int, int]], int]:
+    """The first probe key, in probe order, that equals a left key.
+
+    Returns ((probe row, left row), keys built) on a hit, else (None, keys
+    built).  Probe rows count on across chunks; the left row is the first
+    row holding that key (stable sort, leftmost search).  Keys built are
+    the left side plus every probe chunk up to the one with the hit.
+    """
+    order = np.argsort(left, kind="stable")
+    left = left[order]
+    nodes = len(left)
+    row0 = 0
+    for keys in probes:
+        nodes += len(keys)
+        idx = np.searchsorted(left, keys)
+        np.minimum(idx, len(left) - 1, out=idx)
+        hit = left[idx] == keys
+        if hit.any():
+            j = int(np.argmax(hit))
+            return (row0 + j, int(order[idx[j]])), nodes
+        row0 += len(keys)
+    return None, nodes
+
+
+# ---------------------------------------------------------------------------
+# meet in the middle
+# ---------------------------------------------------------------------------
+
+
 def meet_in_middle(
     vs: VectorSet,
     n: int,
-    workers: int = 1,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> SearchOutcome:
-    """Hash-join of half-length partial sums; same contract as brute_force."""
+    """Join of half-length partial sums; same contract as brute_force.
+
+    The left side holds every floor(n/2)-multiset's key; the probes are the
+    negated keys of the ceil(n/2)-multisets, in chunks of seeds.
+    nodes_examined counts the keys built.
+    """
     _check_length(n)
     start = time.perf_counter()
     nv = len(vs.vectors)
@@ -287,62 +301,28 @@ def meet_in_middle(
         raise SearchMemoryError(
             f"{size1} half-sums of size {h1} exceed budget {memory_budget}"
         )
-    arr = np.array(vs.vectors, dtype=np.int64)
-    cmax = int(np.abs(arr).max())
-    offset = h2 * cmax
-    base = 2 * offset + 1
-    if base**3 > 2**62:
-        raise ValueError(f"t={vs.t} too large for packed-key search")
-
-    sums1 = _half_sums(arr, h1, 0, nv)
-    keys1 = np.sort(_pack(sums1, base, offset))
-    nodes = len(keys1)
-    del sums1
-
+    keys = _keys(vs.vectors, _key_base(vs, h2))
+    neg = -keys
     chunk_target = min(4_000_000, max(memory_budget - size1, 500_000))
-    chunks = _seed_chunks(nv, h2, chunk_target)
-
-    def probe(lo: int, hi: int):
-        sums2 = _half_sums(arr, h2, lo, hi)
-        keys2 = _pack(-sums2, base, offset)
-        idx = np.searchsorted(keys1, keys2)
-        idx[idx == len(keys1)] = 0
-        hit = keys1[idx] == keys2
-        if hit.any():
-            j = int(np.argmax(hit))
-            return tuple(int(x) for x in sums2[j]), len(sums2)
-        return None, len(sums2)
-
-    match: Optional[tuple[int, int, int]] = None
-    if workers <= 1:
-        for lo, hi in chunks:
-            m, cnt = probe(lo, hi)
-            nodes += cnt
-            if m is not None:
-                match = m
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for m, cnt in pool.map(lambda c: probe(*c), chunks):
-                nodes += cnt
-                if m is not None and match is None:
-                    match = m
+    probes = (
+        _half_sums(neg, h2, lo, hi) for lo, hi in _seed_chunks(nv, h2, chunk_target)
+    )
+    hit, nodes = _first_hit(_half_sums(keys, h1, 0, nv), probes)
 
     elapsed = time.perf_counter() - start
-    if match is None:
+    if hit is None:
         return SearchOutcome(vs.t, n, None, True, nodes, elapsed)
-
-    half2 = _find_multiset(vs.vectors, h2, match, cmax)
-    neg = (-match[0], -match[1], -match[2])
-    half1 = _find_multiset(vs.vectors, h1, neg, cmax)
-    assert half1 is not None and half2 is not None, "join matched but rebuild failed"
-    cycle = OddCycle.from_vectors(vs.t, half1 + half2)
+    row2, row1 = hit
+    idx = _unrank(nv, h1, row1) + _unrank(nv, h2, row2)
+    cycle = OddCycle.from_vectors(vs.t, [vs.vectors[i] for i in idx])
     return SearchOutcome(vs.t, n, cycle, False, nodes, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
 # modified 5-cycle search
 # ---------------------------------------------------------------------------
+
+_MODIFIED_CHUNK = 300_000  # probe keys per chunk
 
 
 def _closing_pair(
@@ -374,15 +354,14 @@ def _closing_pair(
     return None
 
 
-def modified_five_cycle(
-    t: int,
-    workers: int = 1,
-    chunk_target: int = 300_000,
-) -> SearchOutcome:
+def modified_five_cycle(t: int) -> SearchOutcome:
     """5-cycle search over cycles closed by a sign-flip vector pair.
 
-    Exhaustion here means no 5-cycle *of that special form* exists; it is
-    not a proof that no 5-cycle exists at all.
+    The left side holds every 2-multiset's key; the probes are target - v_k
+    for every closing target and vector v_k, in chunks of targets.
+    nodes_examined counts the keys built.  Exhaustion here means no 5-cycle
+    *of that special form* exists; it is not a proof that no 5-cycle exists
+    at all.
     """
     if t % 4 != 2:
         raise ValueError(f"modified_five_cycle requires t = 2 (mod 4), got {t}")
@@ -392,12 +371,8 @@ def modified_five_cycle(
     if nv == 0:
         return SearchOutcome(t, 5, None, True, 0, time.perf_counter() - start)
 
-    arr = np.array(vs.vectors, dtype=np.int64)
-    cmax = int(np.abs(arr).max())
-    offset = 3 * cmax
-    base = 2 * offset + 1
-    if base**3 > 2**62:
-        raise ValueError(f"t={t} too large for packed-key search")
+    base = _key_base(vs, 3)
+    keys = _keys(vs.vectors, base)
 
     # Targets: every 2*v with one coordinate zeroed (the closing pair's sum,
     # negated; the target set is closed under negation).
@@ -408,59 +383,26 @@ def modified_five_cycle(
             d[axis] = 0
             if any(d):
                 targets.add(tuple(d))
-    tarr = np.array(sorted(targets), dtype=np.int64)
+    tlist = sorted(targets)
+    tkeys = _keys(tlist, base)
 
-    # All 2-multiset sums, sorted by packed key for the join.
-    sums2 = _half_sums(arr, 2, 0, nv)
-    keys2 = np.sort(_pack(sums2, base, offset))
-    nodes = len(keys2)
-    del sums2
-
-    # Probe (target - v_k) against the pair sums, in chunks of targets.
-    n_t = len(tarr)
-    per = max(1, chunk_target // nv)
-    chunk_bounds = [(lo, min(lo + per, n_t)) for lo in range(0, n_t, per)]
-
-    def probe(lo: int, hi: int):
-        # need[i, k] = tarr[i] - arr[k]; a hit means v_j + v_l = tarr[i] - v_k
-        need = tarr[lo:hi, None, :] - arr[None, :, :]
-        flat = need.reshape(-1, 3)
-        keys = _pack(flat, base, offset)
-        idx = np.searchsorted(keys2, keys)
-        idx[idx == len(keys2)] = 0
-        hit = keys2[idx] == keys
-        if hit.any():
-            j = int(np.argmax(hit))
-            ti, k = divmod(j, nv)
-            return tuple(int(x) for x in tarr[lo + ti]), int(k), len(keys)
-        return None, None, len(keys)
-
-    match = None
-    k_idx = None
-    if workers <= 1:
-        for lo, hi in chunk_bounds:
-            m, k, cnt = probe(lo, hi)
-            nodes += cnt
-            if m is not None:
-                match, k_idx = m, k
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for m, k, cnt in pool.map(lambda c: probe(*c), chunk_bounds):
-                nodes += cnt
-                if m is not None and match is None:
-                    match, k_idx = m, k
+    # probe row i*nv + k is target_i - v_k; a hit means v_j + v_l = target_i - v_k
+    per = max(1, _MODIFIED_CHUNK // nv)
+    probes = (
+        (tkeys[lo : lo + per, None] - keys[None, :]).ravel()
+        for lo in range(0, len(tkeys), per)
+    )
+    hit, nodes = _first_hit(_half_sums(keys, 2, 0, nv), probes)
 
     elapsed = time.perf_counter() - start
-    if match is None:
+    if hit is None:
         return SearchOutcome(t, 5, None, True, nodes, elapsed)
-
-    v_k = vs.vectors[k_idx]
-    rest = (match[0] - v_k[0], match[1] - v_k[1], match[2] - v_k[2])
-    pair = _find_multiset(vs.vectors, 2, rest, cmax)
-    closing = _closing_pair(t, match)
-    assert pair is not None and closing is not None, "join matched but rebuild failed"
-    cycle = OddCycle.from_vectors(t, pair + [v_k, closing[0], closing[1]])
+    row, pair_row = hit
+    ti, k = divmod(row, nv)
+    closing = _closing_pair(t, tlist[ti])
+    assert closing is not None, "join matched but the closing pair is missing"
+    idx = _unrank(nv, 2, pair_row) + (k,)
+    cycle = OddCycle.from_vectors(t, [vs.vectors[i] for i in idx] + list(closing))
     return SearchOutcome(t, 5, cycle, False, nodes, time.perf_counter() - start)
 
 
@@ -478,13 +420,7 @@ class MinOddCycle:
     outcomes: tuple[SearchOutcome, ...] = field(default=())
 
 
-def min_odd_cycle(
-    t: int,
-    n_max: int = DEFAULT_N_MAX,
-    workers: int = 1,
-    use_modified: bool = True,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> MinOddCycle:
+def min_odd_cycle(t: int, n_max: int = DEFAULT_N_MAX) -> MinOddCycle:
     """Minimum odd cycle length for t in class T, with certificate.
 
     T membership puts the floor at 5, so a 5-cycle found by the modified
@@ -494,15 +430,13 @@ def min_odd_cycle(
     """
     if classify(t) is not STClass.T:
         raise ValueError(f"min_odd_cycle requires t in class T, got {t}")
-    outcomes: list[SearchOutcome] = []
-    if use_modified:
-        out = modified_five_cycle(t, workers=workers)
-        outcomes.append(out)
-        if out.found is not None:
-            return MinOddCycle(t, 5, out.found, outcomes=tuple(outcomes))
+    out = modified_five_cycle(t)
+    outcomes: list[SearchOutcome] = [out]
+    if out.found is not None:
+        return MinOddCycle(t, 5, out.found, outcomes=tuple(outcomes))
     vs = vector_set(t)
     for n in range(5, n_max + 1, 2):
-        out = meet_in_middle(vs, n, workers=workers, memory_budget=memory_budget)
+        out = meet_in_middle(vs, n)
         outcomes.append(out)
         if out.found is not None:
             return MinOddCycle(t, n, out.found, outcomes=tuple(outcomes))

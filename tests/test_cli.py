@@ -143,6 +143,14 @@ class TestVerifyRunMerge:
         assert code == 4
         assert "bad.jsonl:1" in err
 
+    def test_run_on_malformed_record_file(self, capsys, tmp_path):
+        bad = tmp_path / "torn.jsonl"
+        bad.write_text('{"schema_version":1,"t":2')
+        code, _, err = run(capsys, "run", "--range", "2..30", "--out", str(bad))
+        assert code == 4
+        assert "torn.jsonl:1" in err
+        assert bad.read_text() == '{"schema_version":1,"t":2'
+
     def test_merge_conflict_exit(self, capsys, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"

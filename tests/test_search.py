@@ -1,12 +1,20 @@
 """Engine behavior: verification, exhaustion, agreement, special-form search."""
 
 from itertools import combinations_with_replacement
+from math import comb, isqrt
 
+import numpy as np
 import pytest
 
 from oddcycles.search import (
     OddCycle,
     SearchMemoryError,
+    _first_hit,
+    _half_sums,
+    _key_base,
+    _keys,
+    _seed_chunks,
+    _unrank,
     brute_force,
     meet_in_middle,
     min_odd_cycle,
@@ -79,14 +87,31 @@ class TestBruteForce:
         assert out.found is None and not out.exhausted and out.budget_exceeded
 
     def test_toy_enumeration_is_complete(self):
-        # 4 vectors, n = 3, no pruning: the tree has C(4,1)+C(5,2)+C(6,3)
-        # = 34 nodes, whose 20 leaves are exactly the 3-multisets.
-        vecs = ((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, -1))
-        vs = VectorSet(t=9, vectors=vecs)
-        out = brute_force(vs, 3, prune=False)
-        assert out.exhausted and out.found is None
-        assert out.nodes_examined == 34
-        assert len(list(combinations_with_replacement(range(4), 3))) == 20
+        # A node is an index prefix.  It is visited when every shorter
+        # prefix passes the bound |partial sum| <= (n - length) * isqrt(t)
+        # in each coordinate; a prefix that fails it is visited but cut.
+        toy = VectorSet(t=9, vectors=((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, -1)))
+        for vs, n in ((toy, 3), (vector_set(22), 3), (vector_set(22), 5)):
+            vecs, nv, cmax = vs.vectors, len(vs.vectors), isqrt(vs.t)
+
+            def psum(prefix):
+                return [sum(vecs[i][j] for i in prefix) for j in range(3)]
+
+            def admitted(prefix):
+                return all(abs(x) <= (n - len(prefix)) * cmax for x in psum(prefix))
+
+            visited = sum(
+                all(admitted(p[:j]) for j in range(1, k))
+                for k in range(1, n + 1)
+                for p in combinations_with_replacement(range(nv), k)
+            )
+            unpruned = sum(comb(nv + k - 1, k) for k in range(1, n + 1))
+            out = brute_force(vs, n)
+            assert out.exhausted and out.found is None
+            assert out.nodes_examined == visited < unpruned, (vs.t, n)
+            assert not any(
+                psum(p) == [0, 0, 0] for p in combinations_with_replacement(range(nv), n)
+            )
 
 
 class TestMeetInMiddle:
@@ -106,14 +131,6 @@ class TestMeetInMiddle:
     def test_memory_budget_error(self):
         with pytest.raises(SearchMemoryError):
             meet_in_middle(vector_set(1002), 9, memory_budget=1000)
-
-    def test_parallel_matches_sequential_verdict(self):
-        vs = vector_set(58)
-        for n in (5, 7, 9, 11):
-            seq = meet_in_middle(vs, n)
-            par = meet_in_middle(vs, n, workers=4)
-            assert (seq.found is None) == (par.found is None)
-            assert seq.exhausted == par.exhausted
 
 
 class TestModifiedFiveCycle:
@@ -180,3 +197,89 @@ class TestEngineAgreementSmall:
             mm = meet_in_middle(vs, n)
             assert (bf.found is None) == (mm.found is None), (t, n)
             assert bf.exhausted == mm.exhausted, (t, n)
+
+
+class TestJoinKernel:
+    @pytest.mark.parametrize("nv,h", [(1, 1), (1, 4), (5, 1), (4, 2), (5, 3), (3, 5), (6, 4)])
+    def test_unrank_is_lexicographic(self, nv, h):
+        expected = list(combinations_with_replacement(range(nv), h))
+        assert [_unrank(nv, h, row) for row in range(len(expected))] == expected
+
+    @pytest.mark.parametrize("nv,h,target", [(5, 2, 4), (6, 3, 10), (7, 4, 1), (4, 3, 100)])
+    def test_chunk_rows_unrank_in_order(self, nv, h, target):
+        # key (h+1)**i writes a multiset's index counts as base-(h+1) digits
+        keys = (h + 1) ** np.arange(nv, dtype=np.int64)
+        row0 = 0
+        for lo, hi in _seed_chunks(nv, h, target):
+            sums = _half_sums(keys, h, lo, hi)
+            assert len(sums) == sum(comb(nv - i + h - 2, h - 1) for i in range(lo, hi))
+            assert len(sums) <= target or hi - lo == 1
+            rows = [_unrank(nv, h, row0 + r) for r in range(len(sums))]
+            assert all(lo <= row[0] < hi for row in rows)
+            assert sums.tolist() == [sum((h + 1) ** i for i in row) for row in rows]
+            row0 += len(sums)
+        assert row0 == comb(nv + h - 1, h)
+
+    def test_key_of_sum_at_largest_base(self):
+        # the largest odd base the guard admits, at span 3 (modified engine)
+        base = 1664509
+        assert base**3 <= 2**62 < (base + 2) ** 3
+        offset = (base - 1) // 2
+        c = offset // 3
+        assert 3 * c == offset
+        vecs = ((c, -c, c), (c, -c, 0), (-c, c, -c), (0, c, -c), (c, 0, c))
+        assert _key_base(VectorSet(t=0, vectors=vecs), 3) == base
+        with pytest.raises(ValueError, match="too large"):
+            _key_base(VectorSet(t=0, vectors=vecs + ((c + 1, 0, 0),)), 3)
+
+        def key(v):
+            return (v[0] * base + v[1]) * base + v[2]
+
+        rows = list(combinations_with_replacement(range(len(vecs)), 3))
+        sums = [tuple(sum(vecs[i][j] for i in row) for j in range(3)) for row in rows]
+        assert (offset, -offset, offset) in sums and (-offset, offset, -offset) in sums
+        keys = _keys(vecs, base)
+        assert _half_sums(keys, 3, 0, len(vecs)).tolist() == [key(s) for s in sums]
+        ends = (-offset, offset)
+        edge = [(x, y, z) for x in ends for y in ends for z in (-offset, 0, offset)]
+        points = sorted(set(sums) | set(edge))
+        assert _keys(points, base).tolist() == [key(p) for p in points]
+        assert len({key(p) for p in points}) == len(points)
+
+    def test_first_hit_rows(self):
+        left = np.array([7, 3, 9, 3, 5], dtype=np.int64)
+        probes = [np.array([1, 2], dtype=np.int64), np.array([4, 3, 9], dtype=np.int64)]
+        # probe row 3 (key 3) is the first hit; left rows 1 and 3 hold 3
+        assert _first_hit(left, iter(probes)) == ((3, 1), 10)
+        assert _first_hit(left, iter([np.array([10, 0], dtype=np.int64)])) == (None, 7)
+
+
+class TestPinnedCertificates:
+    """Exact certificates; a change in which witness the join returns fails here."""
+
+    def test_mitm_nine_at_22(self):
+        out = meet_in_middle(vector_set(22), 9)
+        assert out.found.vectors == (
+            (-3, -3, -2), (-3, -3, -2), (-3, -3, -2), (-3, 2, -3), (2, -3, -3),
+            (2, 3, 3), (2, 3, 3), (3, 2, 3), (3, 2, 3),
+        )
+
+    def test_mitm_eleven_at_58(self):
+        out = meet_in_middle(vector_set(58), 11)
+        assert out.found.vectors == (
+            (-7, -3, 0), (-7, -3, 0), (-7, -3, 0), (-7, -3, 0), (-3, 7, 0),
+            (0, 7, -3), (3, 7, 0), (7, -3, 0), (7, -3, 0), (7, -3, 0), (7, 0, 3),
+        )
+
+    def test_modified_at_1002(self):
+        out = modified_five_cycle(1002)
+        assert out.found.vectors == (
+            (-25, -16, -11), (-11, 25, 16), (4, -31, -5), (16, 11, -25), (16, 11, 25),
+        )
+
+    def test_modified_exhausts_then_mitm_at_2062(self):
+        res = min_odd_cycle(2062)
+        assert [(o.length_tried, o.exhausted) for o in res.outcomes] == [(5, True), (5, False)]
+        assert res.certificate.vectors == (
+            (-45, -6, -1), (-10, -21, 39), (-1, 6, -45), (17, 42, -3), (39, -21, 10),
+        )
