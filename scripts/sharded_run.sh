@@ -4,6 +4,7 @@
 # every (m, t) already present in its record file.
 #
 # usage: sharded_run.sh [RANGE] [SHARDS] [OUTDIR]
+# Needs oddcycles importable: installed, or PYTHONPATH=src in a checkout.
 set -euo pipefail
 
 RANGE="${1:-2..1998}"
@@ -13,7 +14,7 @@ OUTDIR="${3:-runs}"
 mkdir -p "$OUTDIR"
 pids=()
 for ((sid = 0; sid < SHARDS; sid++)); do
-    oddcycles run --range "$RANGE" --shards "$SHARDS" --shard-id "$sid" \
+    python3 -m oddcycles.cli run --range "$RANGE" --shards "$SHARDS" --shard-id "$sid" \
         --out "$OUTDIR/shard$sid.jsonl" &
     pids+=($!)
 done
@@ -21,5 +22,5 @@ for pid in "${pids[@]}"; do
     wait "$pid"
 done
 
-oddcycles merge "$OUTDIR"/shard*.jsonl --out "$OUTDIR/merged.jsonl"
-oddcycles verify --in "$OUTDIR/merged.jsonl"
+python3 -m oddcycles.cli merge "$OUTDIR"/shard*.jsonl --out "$OUTDIR/merged.jsonl"
+python3 -m oddcycles.cli verify --in "$OUTDIR/merged.jsonl"

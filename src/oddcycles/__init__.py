@@ -1,80 +1,3 @@
 """Minimum odd-length zero-sum cycles of equal-magnitude lattice vectors."""
 
-from .arith import (
-    Factorization,
-    STClass,
-    Triple,
-    classify,
-    count_reps,
-    enumerate_triples,
-    factorize,
-    four_square_decomposition,
-    reduce_mod4,
-    squarefree_part,
-)
-from .constructions import (
-    ConstructionError,
-    ParamId,
-    QuadraticForm,
-    form_represents,
-    k4_points,
-    param_cycle,
-    triangle_cycle,
-    z2_doubling_map,
-)
-from .resolver import CmResult, Reason, compute_C, unique_rep_crosscheck
-from .search import (
-    MinOddCycle,
-    OddCycle,
-    SearchMemoryError,
-    SearchOutcome,
-    brute_force,
-    meet_in_middle,
-    min_odd_cycle,
-    modified_five_cycle,
-    verify_cycle,
-)
-from .stats import DensityRow, density_table
-from .vectors import VectorSet, expand_triple, search_space_size, vector_set
-
-__all__ = [
-    "CmResult",
-    "ConstructionError",
-    "DensityRow",
-    "Factorization",
-    "MinOddCycle",
-    "OddCycle",
-    "ParamId",
-    "QuadraticForm",
-    "Reason",
-    "STClass",
-    "SearchMemoryError",
-    "SearchOutcome",
-    "Triple",
-    "VectorSet",
-    "brute_force",
-    "classify",
-    "compute_C",
-    "count_reps",
-    "density_table",
-    "enumerate_triples",
-    "expand_triple",
-    "factorize",
-    "form_represents",
-    "four_square_decomposition",
-    "k4_points",
-    "meet_in_middle",
-    "min_odd_cycle",
-    "modified_five_cycle",
-    "param_cycle",
-    "reduce_mod4",
-    "search_space_size",
-    "squarefree_part",
-    "triangle_cycle",
-    "unique_rep_crosscheck",
-    "vector_set",
-    "verify_cycle",
-    "z2_doubling_map",
-]
-
 __version__ = "0.1.0"

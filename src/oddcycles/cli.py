@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 invalid arguments or refused work, 3 unresolved
-search, 4 verification or merge failure.  Machine-readable output goes to
-stdout or --out files; diagnostics go to stderr.
+Exit codes: 0 success, 2 invalid arguments (a missing or unwritable file
+included) or refused work, 3 unresolved search, 4 verification or merge
+failure.  Machine-readable output goes to stdout or --out files;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -113,22 +114,14 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _table_rows(max_n: int, n_max: int):
-    for n in range(2, max_n, 4):
-        res = compute_C(3, n, n_max=n_max)
-        if res.value is None:
-            raise RuntimeError(f"search unresolved at n={n}")
-        yield n, res.value
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     lines = ["n,c3"]
-    try:
-        for n, c3 in _table_rows(args.max, args.n_max):
-            lines.append(f"{n},{c3}")
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_UNRESOLVED
+    for n in range(2, args.max, 4):
+        res = compute_C(3, n, n_max=args.n_max)
+        if res.value is None:
+            print(f"search unresolved at n={n}", file=sys.stderr)
+            return EXIT_UNRESOLVED
+        lines.append(f"{n},{res.value}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -149,11 +142,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        records = store.load(args.infile)
-    except store.StoreError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VERIFY
+    records = store.load(args.infile)
     print(f"{len(records)} records verified")
     return EXIT_OK
 
@@ -199,11 +188,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     targets = [
         t for idx, t in enumerate(range(first, hi + 1, 4)) if idx % args.shards == args.shard_id
     ]
-    try:
-        done = store.resolved_keys(args.out)
-    except store.StoreError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VERIFY
+    done = store.resolved_keys(args.out)
     unresolved = 0
     for t in targets:
         if (3, t) in done:
@@ -219,11 +204,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    try:
-        records = store.merge(args.files, args.out)
-    except store.StoreError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VERIFY
+    records = store.merge(args.files, args.out)
     print(f"merged {len(records)} records into {args.out}")
     return EXIT_OK
 
@@ -297,9 +278,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except store.StoreError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

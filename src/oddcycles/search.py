@@ -325,33 +325,20 @@ def meet_in_middle(
 _MODIFIED_CHUNK = 300_000  # probe keys per chunk
 
 
-def _closing_pair(
-    t: int, s: tuple[int, int, int]
-) -> Optional[tuple[LatticeVector, LatticeVector]]:
+def _closing_pair(t: int, s: tuple[int, int, int]) -> tuple[LatticeVector, LatticeVector]:
     """Two magnitude-sqrt(t) vectors u1, u2 with u1 + u2 = -s.
 
-    s must be a doubled vector with one coordinate zeroed; u1 and u2 are
-    -s/2 with the zero coordinate filled in as +/-c.
+    s is 2*v for some v in V(t) with coordinate k zeroed, so half = -s/2
+    has |half|^2 = t - v_k^2 and is zero at every zero axis of s (axis k,
+    and any axis where v is zero).  u1 and u2 are half with the first such
+    axis set to +/-|v_k|.
     """
-    for axis in range(3):
-        if s[axis] != 0:
-            continue
-        if any(s[j] % 2 for j in range(3)):
-            continue
-        half = [-s[j] // 2 for j in range(3)]
-        rem = t - sum(x * x for x in half)
-        if rem < 0:
-            continue
-        c = isqrt(rem)
-        if c * c != rem:
-            continue
-        u1 = list(half)
-        u2 = list(half)
-        u1[axis] = c
-        u2[axis] = -c
-        if magnitude_sq(tuple(u1)) == t:
-            return tuple(u1), tuple(u2)
-    return None
+    axis = s.index(0)
+    half = [-x // 2 for x in s]
+    c = isqrt(t - sum(x * x for x in half))
+    u1, u2 = list(half), list(half)
+    u1[axis], u2[axis] = c, -c
+    return tuple(u1), tuple(u2)
 
 
 def modified_five_cycle(t: int) -> SearchOutcome:
@@ -400,7 +387,6 @@ def modified_five_cycle(t: int) -> SearchOutcome:
     row, pair_row = hit
     ti, k = divmod(row, nv)
     closing = _closing_pair(t, tlist[ti])
-    assert closing is not None, "join matched but the closing pair is missing"
     idx = _unrank(nv, 2, pair_row) + (k,)
     cycle = OddCycle.from_vectors(t, [vs.vectors[i] for i in idx] + list(closing))
     return SearchOutcome(t, 5, cycle, False, nodes, time.perf_counter() - start)

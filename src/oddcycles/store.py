@@ -8,28 +8,14 @@ trustworthy regardless of which shard or machine produced it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .resolver import NONEXISTENT_REASONS, Reason
 from .search import OddCycle, verify_cycle
 
 SCHEMA_VERSION = 1
-
-_KEY_ORDER = (
-    "schema_version",
-    "t",
-    "m",
-    "value",
-    "reason",
-    "certificate",
-    "algorithm",
-    "elapsed_ms",
-    "nodes_examined",
-    "shard_id",
-    "worker_count",
-)
 
 
 class StoreError(Exception):
@@ -49,8 +35,11 @@ class StoreConflictError(StoreError):
         self.conflicts = list(conflicts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ResultRecord:
+    """One resolved (m, t); the field order is the JSON key order."""
+
+    schema_version: int = SCHEMA_VERSION
     t: int
     m: int
     value: Optional[int]
@@ -61,12 +50,9 @@ class ResultRecord:
     nodes_examined: int
     shard_id: int
     worker_count: int
-    schema_version: int = SCHEMA_VERSION
 
     def to_json(self) -> str:
         data = {k: getattr(self, k) for k in _KEY_ORDER}
-        if data["certificate"] is not None:
-            data["certificate"] = [list(v) for v in data["certificate"]]
         return json.dumps(data, separators=(",", ":"))
 
     def validate(self) -> None:
@@ -105,19 +91,11 @@ class ResultRecord:
         cert = data.get("certificate")
         if cert is not None:
             cert = tuple(tuple(int(x) for x in v) for v in cert)
-        return ResultRecord(
-            schema_version=data["schema_version"],
-            t=data["t"],
-            m=data["m"],
-            value=data["value"],
-            reason=data["reason"],
-            certificate=cert,
-            algorithm=data["algorithm"],
-            elapsed_ms=data["elapsed_ms"],
-            nodes_examined=data["nodes_examined"],
-            shard_id=data["shard_id"],
-            worker_count=data["worker_count"],
-        )
+        values = {k: data[k] for k in _KEY_ORDER if k != "certificate"}
+        return ResultRecord(certificate=cert, **values)
+
+
+_KEY_ORDER = tuple(f.name for f in fields(ResultRecord))
 
 
 def append(path: Path | str, record: ResultRecord) -> None:

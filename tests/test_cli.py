@@ -95,6 +95,14 @@ class TestTableAndDensity:
         assert "22,9" in lines
         assert len(lines) == 1 + len(range(2, 100, 4))
 
+    def test_table_unresolved_exit(self, capsys, tmp_path):
+        out_path = tmp_path / "chart.csv"
+        code, _, err = run(capsys, "table", "--max", "30", "--n-max", "7",
+                           "--out", str(out_path))
+        assert code == 3
+        assert "search unresolved at n=22" in err
+        assert not out_path.exists()
+
     def test_density_stdout(self, capsys):
         code, out, _ = run(capsys, "density", "--checkpoints", "10,2000")
         assert code == 0
@@ -161,6 +169,25 @@ class TestVerifyRunMerge:
         assert code == 4
         assert "conflict" in err
         assert not out_path.exists()
+
+    def test_verify_missing_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify", "--in", str(tmp_path / "missing.jsonl"))
+        assert code == 2
+        assert err.startswith("error:") and "missing.jsonl" in err
+
+    def test_merge_missing_file(self, capsys, tmp_path):
+        out_path = tmp_path / "m.jsonl"
+        code, _, err = run(capsys, "merge", str(tmp_path / "missing.jsonl"),
+                           "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("error:") and "missing.jsonl" in err
+        assert not out_path.exists()
+
+    def test_run_unwritable_out(self, capsys, tmp_path):
+        out_path = tmp_path / "nodir" / "x.jsonl"
+        code, _, err = run(capsys, "run", "--range", "2..10", "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("error:") and "x.jsonl" in err
 
     def test_bad_range_usage(self, capsys, tmp_path):
         code, _, err = run(capsys, "run", "--range", "abc", "--out", str(tmp_path / "x"))

@@ -9,6 +9,7 @@ import pytest
 from oddcycles.search import (
     OddCycle,
     SearchMemoryError,
+    _closing_pair,
     _first_hit,
     _half_sums,
     _key_base,
@@ -167,6 +168,22 @@ class TestModifiedFiveCycle:
     def test_success_implies_general_five_cycle(self, t):
         assert modified_five_cycle(t).found is not None
         assert meet_in_middle(vector_set(t), 5).found is not None
+
+    @pytest.mark.parametrize("t", [58, 1002, 2062])
+    def test_closing_pair_of_every_target(self, t):
+        # V(58) holds (0,3,7), so some targets there have two zero coordinates
+        targets = set()
+        for v in vector_set(t).vectors:
+            for axis in range(3):
+                d = [2 * x for x in v]
+                d[axis] = 0
+                if any(d):
+                    targets.add(tuple(d))
+        assert targets
+        for s in targets:
+            u1, u2 = _closing_pair(t, s)
+            assert tuple(a + b for a, b in zip(u1, u2)) == tuple(-x for x in s)
+            assert sum(x * x for x in u1) == t and sum(x * x for x in u2) == t
 
 
 class TestMinOddCycle:
