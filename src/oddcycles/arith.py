@@ -2,7 +2,8 @@
 
 Factorization, square-free parts, three- and four-square decompositions,
 and the S/T classifier for integers congruent to 2 mod 4.  Everything here
-is exact integer arithmetic; no floating point anywhere.
+is exact integer arithmetic; the one floating-point square root, in
+enumerate_triples, is corrected to the exact integer root.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
+import numpy as np
 import sympy
 
 # Inputs whose intermediate squares could leave 64-bit signed range are
@@ -105,21 +107,32 @@ def reduce_mod4(r: int) -> tuple[int, int]:
     return r, k
 
 
+_GRID_CELLS = 1 << 18  # (a, b) cells per block of enumerate_triples
+
+
 def enumerate_triples(z: int) -> list[Triple]:
-    """All triples 0 <= a <= b <= c with a^2 + b^2 + c^2 = z, lexicographic."""
+    """All triples 0 <= a <= b <= c with a^2 + b^2 + c^2 = z, lexicographic.
+
+    Runs over the (a, b) grid in blocks of rows.  c is the square root of
+    rem = z - a^2 - b^2 in floating point, corrected by one step either way
+    in int64, so it is the exact integer square root and c^2 == rem is an
+    exact test.
+    """
     _check_positive(z, "z")
+    b = np.arange(isqrt(z // 2) + 1, dtype=np.int64)
+    a_max = isqrt(z // 3)
+    rows = max(1, _GRID_CELLS // len(b))
     out: list[Triple] = []
-    a = 0
-    while 3 * a * a <= z:
-        rem_a = z - a * a
-        b = a
-        while 2 * b * b <= rem_a:
-            rem = rem_a - b * b
-            c = isqrt(rem)
-            if c * c == rem and c >= b:
-                out.append(Triple(a, b, c))
-            b += 1
-        a += 1
+    for a0 in range(0, a_max + 1, rows):
+        a = np.arange(a0, min(a0 + rows, a_max + 1), dtype=np.int64)[:, None]
+        rem = z - a * a - b * b
+        ok = (b >= a) & (rem >= b * b)  # b <= c
+        c = np.sqrt(np.maximum(rem, 0)).astype(np.int64)
+        c -= c * c > rem
+        c += (c + 1) * (c + 1) <= rem
+        ok &= c * c == rem
+        ai, bi = np.nonzero(ok)
+        out += map(Triple, a[ai, 0].tolist(), b[bi].tolist(), c[ai, bi].tolist())
     return out
 
 

@@ -153,6 +153,7 @@ def _record_from_result(
     cert = None
     if res.certificate is not None:
         cert = tuple(res.certificate.vectors)
+    # "modified+meet-in-middle" is schema v1's label for a searched value
     algorithm = (
         "closed-form"
         if res.reason is not Reason.SEARCHED
@@ -188,6 +189,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     targets = [
         t for idx, t in enumerate(range(first, hi + 1, 4)) if idx % args.shards == args.shard_id
     ]
+    torn = store.drop_torn_tail(args.out)
+    if torn is not None:
+        print(
+            f"warning: {args.out}: dropped unterminated last line {torn!r}",
+            file=sys.stderr,
+        )
     done = store.resolved_keys(args.out)
     unresolved = 0
     for t in targets:

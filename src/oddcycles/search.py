@@ -12,14 +12,36 @@ Three engines with a common outcome type:
                         the third, so the remaining three vectors must sum
                         to a doubled, one-coordinate-zeroed vector.
 
-Both joins run on one kernel, _first_hit.  Each vector gets one int64
-scalar key, linear in its coordinates, so a multiset's key is the sum of
-its vectors' keys; _half_sums builds them in lexicographic index order.
-The kernel sorts the left side stably and probes it chunk by chunk up to
-the first hit.  The certificate is read back from the two row numbers
-(_unrank), so it is the lexicographically first one the join admits.  The
-engines run in one thread; parallel runs split a range of t into shards
-(`oddcycles run --shards`).
+Both joins run on one kernel, _first_hit, over the orbits of the group B3
+of the 48 signed permutations of the coordinates.  Each vector gets one
+int64 scalar key, linear in its coordinates, so a multiset's key is the sum
+of its vectors' keys; _half_sums builds them in lexicographic index order.
+canon(w) sorts the absolute values of w's coordinates, and _canon turns a
+sum's key into the key of canon(sum).
+
+Why the quotient is sound.  V(t) is closed under B3, so the set W_h of
+h-multiset sums is too, and w is in W_h iff canon(w) is in canon(W_h).
+Every orbit of V(t) meets R, the vectors with 0 <= x <= y <= z (the
+triples of enumerate_triples), so canon(W_h) = canon(R + W_{h-1}): the
+left side holds those keys, about |R|/|V| = 1/48 of all h-multisets.  A
+zero-sum multiset can be moved by some g in B3 so that it contains a
+vector of R, and g maps V(t) onto itself, so without loss of generality
+every cycle contains a representative: MITM probes canon(r + Q) for r in R
+and Q an (h2-1)-multiset, and the modified engine probes one closing
+target per orbit (orbit reduction, as in McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  A hit says canon(left sum) =
+canon(probe sum); _signed_perm finds g in B3 with g(left sum) = -(probe
+sum), and g(left vectors) plus the probe's vectors is the certificate.
+brute_force keeps no quotient: it is the independent oracle.
+
+The kernel sorts the left side and probes it in chunks that start at
+_FIRST_CHUNK keys and double, so a hit among the first probes costs
+little.  The certificate is read back from the two row numbers (_unrank).
+nodes_examined counts, for both joins, the quotient keys built and probed:
+the left side plus every probe chunk up to the one with the hit.  For
+brute_force it counts index prefixes visited; the two are not comparable.
+The engines run in one thread; parallel runs split a range of t into
+shards (`oddcycles run --shards`).
 
 Every cycle an engine returns is re-verified internally before it escapes.
 """
@@ -29,7 +51,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from math import comb, isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,11 +59,11 @@ from .arith import STClass, classify
 from .vectors import LatticeVector, VectorSet, magnitude_sq, vector_set
 
 DEFAULT_N_MAX = 13
-DEFAULT_MEMORY_BUDGET = 30_000_000  # partial sums held at once, per engine call
+DEFAULT_MEMORY_BUDGET = 30_000_000  # left-side keys held at once, per engine call
 
 
 class SearchMemoryError(MemoryError):
-    """Partial-sum lists for meet-in-the-middle would exceed the budget."""
+    """The left side of meet-in-the-middle would exceed the budget."""
 
 
 @dataclass(frozen=True)
@@ -165,6 +187,10 @@ def brute_force(
 # the join kernel
 # ---------------------------------------------------------------------------
 
+_FIRST_CHUNK = 2048  # probe keys in the first chunk; each next one doubles
+_LAST_CHUNK = 1 << 20  # ... up to this many
+_SUMS_CHUNK = 1 << 20  # multiset sums built at once on the probe side
+
 
 def _key_base(vs: VectorSet, span: int) -> int:
     """Base B of the scalar keys for sums of up to `span` vectors of vs.
@@ -187,6 +213,36 @@ def _keys(vecs: Sequence[Sequence[int]], base: int) -> np.ndarray:
     """
     arr = np.asarray(vecs, dtype=np.int64).reshape(-1, 3)
     return (arr[:, 0] * base + arr[:, 1]) * base + arr[:, 2]
+
+
+def _canon(keys: np.ndarray, base: int) -> np.ndarray:
+    """Key of canon(w) for the sum w behind each key: |w|'s coordinates sorted.
+
+    The keys' sums must have coordinates in [-offset, offset], as
+    _key_base ensures; shifting by offset makes the base-B digits
+    nonnegative.  keys is overwritten.
+    """
+    offset = (base - 1) // 2
+    keys += offset * (base * base + base + 1)
+    rest, z = np.divmod(keys, base)
+    x, y = np.divmod(rest, base)
+    for d in (x, y, z):
+        d -= offset
+        np.abs(d, out=d)
+    # a sorting network on three values
+    x, y = np.minimum(x, y), np.maximum(x, y)
+    y, z = np.minimum(y, z), np.maximum(y, z)
+    x, y = np.minimum(x, y), np.maximum(x, y)
+    x *= base
+    x += y
+    x *= base
+    x += z
+    return x
+
+
+def _outer_canon(a: np.ndarray, b: np.ndarray, base: int) -> np.ndarray:
+    """canon keys of a[i] + b[j], at row i*len(b) + j."""
+    return _canon((a[:, None] + b[None, :]).ravel(), base)
 
 
 def _count_from(nv: int, h: int, i: int) -> int:
@@ -216,8 +272,11 @@ def _half_sums(keys: np.ndarray, h: int, seed_lo: int, seed_hi: int) -> np.ndarr
 
     Rows come in lexicographic order of their index tuples, the order of
     itertools.combinations_with_replacement: built level by level, each row
-    is extended by every index from its last one up.
+    is extended by every index from its last one up.  h = 0 gives the one
+    empty multiset.
     """
+    if h == 0:
+        return np.zeros(1, dtype=np.int64)
     nv = len(keys)
     sums = keys[seed_lo:seed_hi]
     last = np.arange(seed_lo, seed_hi, dtype=np.int64)
@@ -247,6 +306,25 @@ def _unrank(nv: int, h: int, row: int) -> tuple[int, ...]:
     return tuple(idx)
 
 
+def _probe_chunks(
+    sums: Iterable[np.ndarray], b: np.ndarray, base: int
+) -> Iterator[np.ndarray]:
+    """canon keys of s + b[j] for every s of every array in sums, in order.
+
+    Row i*len(b) + j (counting on across arrays) is s_i + b[j].  Chunks
+    start at _FIRST_CHUNK keys and double up to _LAST_CHUNK; each holds
+    whole rows of s.
+    """
+    size = _FIRST_CHUNK
+    for arr in sums:
+        lo = 0
+        while lo < len(arr):
+            step = max(1, size // len(b))
+            yield _outer_canon(arr[lo : lo + step], b, base)
+            lo += step
+            size = min(2 * size, _LAST_CHUNK)
+
+
 def _first_hit(
     left: np.ndarray, probes: Iterable[np.ndarray]
 ) -> tuple[Optional[tuple[int, int]], int]:
@@ -254,23 +332,56 @@ def _first_hit(
 
     Returns ((probe row, left row), keys built) on a hit, else (None, keys
     built).  Probe rows count on across chunks; the left row is the first
-    row holding that key (stable sort, leftmost search).  Keys built are
-    the left side plus every probe chunk up to the one with the hit.
+    row holding that key.  Keys built are the left side plus every probe
+    chunk up to the one with the hit.
     """
-    order = np.argsort(left, kind="stable")
-    left = left[order]
+    ordered = np.sort(left)
     nodes = len(left)
     row0 = 0
     for keys in probes:
         nodes += len(keys)
-        idx = np.searchsorted(left, keys)
-        np.minimum(idx, len(left) - 1, out=idx)
-        hit = left[idx] == keys
+        idx = np.searchsorted(ordered, keys)
+        np.minimum(idx, len(ordered) - 1, out=idx)
+        hit = ordered[idx] == keys
         if hit.any():
             j = int(np.argmax(hit))
-            return (row0 + j, int(order[idx[j]])), nodes
+            return (row0 + j, int(np.argmax(left == keys[j]))), nodes
         row0 += len(keys)
     return None, nodes
+
+
+def _representatives(vs: VectorSet) -> list[int]:
+    """Indices of R, the orbit representatives 0 <= x <= y <= z, in vs."""
+    return [i for i, (x, y, z) in enumerate(vs.vectors) if 0 <= x <= y <= z]
+
+
+def _signed_perm(
+    src: Sequence[int], dst: Sequence[int]
+) -> Callable[[Sequence[int]], LatticeVector]:
+    """A signed permutation g of the coordinates with g(src) = dst.
+
+    src and dst must have the same sorted absolute values: coordinates are
+    paired in that order (ties and zeros in any order), and each pair's
+    sign makes the values agree.
+    """
+    perm = [0, 0, 0]
+    sign = [1, 1, 1]
+    by_size = sorted(range(3), key=lambda i: abs(src[i]))
+    for i, j in zip(by_size, sorted(range(3), key=lambda i: abs(dst[i]))):
+        perm[j] = i
+        sign[j] = -1 if (src[i] < 0) != (dst[j] < 0) else 1
+    return lambda v: (sign[0] * v[perm[0]], sign[1] * v[perm[1]], sign[2] * v[perm[2]])
+
+
+def _rebuild(
+    t: int, left: Sequence[LatticeVector], probe: Sequence[LatticeVector]
+) -> OddCycle:
+    """g(left) + probe, with g in B3 taking sum(left) to -sum(probe)."""
+    g = _signed_perm(
+        [sum(v[k] for v in left) for k in range(3)],
+        [-sum(v[k] for v in probe) for k in range(3)],
+    )
+    return OddCycle.from_vectors(t, [g(v) for v in left] + list(probe))
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +394,13 @@ def meet_in_middle(
     n: int,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> SearchOutcome:
-    """Join of half-length partial sums; same contract as brute_force.
+    """Join of half-length partial sums on B3 orbits; same contract as brute_force.
 
-    The left side holds every floor(n/2)-multiset's key; the probes are the
-    negated keys of the ceil(n/2)-multisets, in chunks of seeds.
-    nodes_examined counts the keys built.
+    vs must be a whole V(t), closed under B3.  With h1 = floor(n/2) and
+    h2 = ceil(n/2), the left side holds canon(r + M) for every r in R and
+    (h1-1)-multiset M; the probes are canon(r + Q) for every r in R and
+    (h2-1)-multiset Q.  A left side of more than memory_budget keys raises
+    SearchMemoryError.  nodes_examined counts the keys built.
     """
     _check_length(n)
     start = time.perf_counter()
@@ -296,33 +409,38 @@ def meet_in_middle(
         return SearchOutcome(vs.t, n, None, True, 0, time.perf_counter() - start)
 
     h1, h2 = n // 2, n - n // 2
-    size1 = comb(nv + h1 - 1, h1)
+    reps = _representatives(vs)
+    size1 = len(reps) * comb(nv + h1 - 2, h1 - 1)
     if size1 > memory_budget:
         raise SearchMemoryError(
-            f"{size1} half-sums of size {h1} exceed budget {memory_budget}"
+            f"{size1} left keys of size {h1} exceed budget {memory_budget}"
         )
-    keys = _keys(vs.vectors, _key_base(vs, h2))
-    neg = -keys
-    chunk_target = min(4_000_000, max(memory_budget - size1, 500_000))
-    probes = (
-        _half_sums(neg, h2, lo, hi) for lo, hi in _seed_chunks(nv, h2, chunk_target)
+    base = _key_base(vs, h2)
+    keys = _keys(vs.vectors, base)
+    rkeys = keys[reps]
+    left = _outer_canon(_half_sums(keys, h1 - 1, 0, nv), rkeys, base)
+    sums = (
+        _half_sums(keys, h2 - 1, lo, hi)
+        for lo, hi in _seed_chunks(nv, h2 - 1, _SUMS_CHUNK)
     )
-    hit, nodes = _first_hit(_half_sums(keys, h1, 0, nv), probes)
+    hit, nodes = _first_hit(left, _probe_chunks(sums, rkeys, base))
 
     elapsed = time.perf_counter() - start
     if hit is None:
         return SearchOutcome(vs.t, n, None, True, nodes, elapsed)
-    row2, row1 = hit
-    idx = _unrank(nv, h1, row1) + _unrank(nv, h2, row2)
-    cycle = OddCycle.from_vectors(vs.t, [vs.vectors[i] for i in idx])
+    (row2, j), (row1, i) = (divmod(row, len(reps)) for row in hit)
+    vecs = vs.vectors
+    cycle = _rebuild(
+        vs.t,
+        [vecs[reps[i]]] + [vecs[k] for k in _unrank(nv, h1 - 1, row1)],
+        [vecs[reps[j]]] + [vecs[k] for k in _unrank(nv, h2 - 1, row2)],
+    )
     return SearchOutcome(vs.t, n, cycle, False, nodes, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
 # modified 5-cycle search
 # ---------------------------------------------------------------------------
-
-_MODIFIED_CHUNK = 300_000  # probe keys per chunk
 
 
 def _closing_pair(t: int, s: tuple[int, int, int]) -> tuple[LatticeVector, LatticeVector]:
@@ -344,11 +462,13 @@ def _closing_pair(t: int, s: tuple[int, int, int]) -> tuple[LatticeVector, Latti
 def modified_five_cycle(t: int) -> SearchOutcome:
     """5-cycle search over cycles closed by a sign-flip vector pair.
 
-    The left side holds every 2-multiset's key; the probes are target - v_k
-    for every closing target and vector v_k, in chunks of targets.
-    nodes_examined counts the keys built.  Exhaustion here means no 5-cycle
-    *of that special form* exists; it is not a proof that no 5-cycle exists
-    at all.
+    A closing target is 2*v with one coordinate zeroed, v in V(t): the
+    negated sum of a closing pair.  Targets come one per B3 orbit, as
+    canon(2*r with a coordinate zeroed) for r in R.  The left side holds
+    canon(r + v) for r in R and v in V(t); the probes are canon(s - v_k)
+    for every target s and vector v_k.  nodes_examined counts the keys
+    built.  Exhaustion here means no 5-cycle *of that special form*
+    exists; it is not a proof that no 5-cycle exists at all.
     """
     if t % 4 != 2:
         raise ValueError(f"modified_five_cycle requires t = 2 (mod 4), got {t}")
@@ -360,35 +480,30 @@ def modified_five_cycle(t: int) -> SearchOutcome:
 
     base = _key_base(vs, 3)
     keys = _keys(vs.vectors, base)
-
-    # Targets: every 2*v with one coordinate zeroed (the closing pair's sum,
-    # negated; the target set is closed under negation).
-    targets: set[tuple[int, int, int]] = set()
-    for v in vs.vectors:
-        for axis in range(3):
-            d = [2 * x for x in v]
-            d[axis] = 0
+    reps = _representatives(vs)
+    # canon(2*r with coordinate k zeroed): 0 first, then the other two doubled
+    targets = set()
+    for r in (vs.vectors[i] for i in reps):
+        for k in range(3):
+            d = sorted(2 * x for a, x in enumerate(r) if a != k)
             if any(d):
-                targets.add(tuple(d))
+                targets.add((0, *d))
     tlist = sorted(targets)
-    tkeys = _keys(tlist, base)
 
-    # probe row i*nv + k is target_i - v_k; a hit means v_j + v_l = target_i - v_k
-    per = max(1, _MODIFIED_CHUNK // nv)
-    probes = (
-        (tkeys[lo : lo + per, None] - keys[None, :]).ravel()
-        for lo in range(0, len(tkeys), per)
-    )
-    hit, nodes = _first_hit(_half_sums(keys, 2, 0, nv), probes)
+    left = _outer_canon(keys, keys[reps], base)
+    probes = _probe_chunks([_keys(tlist, base)], -keys, base)
+    hit, nodes = _first_hit(left, probes)
 
     elapsed = time.perf_counter() - start
     if hit is None:
         return SearchOutcome(t, 5, None, True, nodes, elapsed)
-    row, pair_row = hit
-    ti, k = divmod(row, nv)
-    closing = _closing_pair(t, tlist[ti])
-    idx = _unrank(nv, 2, pair_row) + (k,)
-    cycle = OddCycle.from_vectors(t, [vs.vectors[i] for i in idx] + list(closing))
+    (ti, k), (m, i) = divmod(hit[0], nv), divmod(hit[1], len(reps))
+    vecs = vs.vectors
+    cycle = _rebuild(
+        t,
+        [vecs[reps[i]], vecs[m]],
+        [vecs[k], *_closing_pair(t, tlist[ti])],
+    )
     return SearchOutcome(t, 5, cycle, False, nodes, time.perf_counter() - start)
 
 
@@ -409,20 +524,26 @@ class MinOddCycle:
 def min_odd_cycle(t: int, n_max: int = DEFAULT_N_MAX) -> MinOddCycle:
     """Minimum odd cycle length for t in class T, with certificate.
 
-    T membership puts the floor at 5, so a 5-cycle found by the modified
-    engine settles the value without any exhaustion.  Otherwise odd lengths
-    are exhausted in increasing order until a cycle appears or n_max is
-    passed (unresolved).
+    T membership puts the floor at 5, so meet_in_middle exhausts odd
+    lengths from 5 up until a cycle appears or n_max is passed
+    (unresolved).  V(t) is built once.  A length whose left side exceeds
+    the memory budget also ends the ladder unresolved; its outcome has
+    budget_exceeded set.
     """
     if classify(t) is not STClass.T:
         raise ValueError(f"min_odd_cycle requires t in class T, got {t}")
-    out = modified_five_cycle(t)
-    outcomes: list[SearchOutcome] = [out]
-    if out.found is not None:
-        return MinOddCycle(t, 5, out.found, outcomes=tuple(outcomes))
     vs = vector_set(t)
+    outcomes: list[SearchOutcome] = []
     for n in range(5, n_max + 1, 2):
-        out = meet_in_middle(vs, n)
+        start = time.perf_counter()
+        try:
+            out = meet_in_middle(vs, n)
+        except SearchMemoryError:
+            elapsed = time.perf_counter() - start
+            outcomes.append(
+                SearchOutcome(t, n, None, False, 0, elapsed, budget_exceeded=True)
+            )
+            break
         outcomes.append(out)
         if out.found is not None:
             return MinOddCycle(t, n, out.found, outcomes=tuple(outcomes))

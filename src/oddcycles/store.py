@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .resolver import NONEXISTENT_REASONS, Reason
 from .search import OddCycle, verify_cycle
@@ -88,6 +88,8 @@ class ResultRecord:
     @staticmethod
     def from_json(line: str) -> "ResultRecord":
         data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError("record is not a JSON object")
         cert = data.get("certificate")
         if cert is not None:
             cert = tuple(tuple(int(x) for x in v) for v in cert)
@@ -109,29 +111,56 @@ def append(path: Path | str, record: ResultRecord) -> None:
 def load(path: Path | str) -> list[ResultRecord]:
     """Load and validate every record; any bad line rejects the whole file."""
     path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        return _parse(path, fh)
+
+
+def _parse(path: Path, lines: Iterable[str]) -> list[ResultRecord]:
     records: list[ResultRecord] = []
     seen: dict[tuple[int, int], ResultRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = ResultRecord.from_json(line)
-                rec.validate()
-            except (ValueError, KeyError, json.JSONDecodeError) as exc:
-                raise RecordValidationError(path, line_no, str(exc)) from None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = ResultRecord.from_json(line)
+            rec.validate()
             key = (rec.m, rec.t)
-            if key in seen and seen[key].value != rec.value:
-                raise RecordValidationError(
-                    path,
-                    line_no,
-                    f"duplicate (m={rec.m}, t={rec.t}) with conflicting values "
-                    f"{seen[key].value} vs {rec.value}",
-                )
-            seen[key] = rec
-            records.append(rec)
+            clash = key in seen and seen[key].value != rec.value
+        except (ValueError, KeyError, TypeError) as exc:
+            # TypeError: a field of the wrong JSON type, e.g. "certificate": 5
+            raise RecordValidationError(path, line_no, str(exc)) from None
+        if clash:
+            raise RecordValidationError(
+                path,
+                line_no,
+                f"duplicate (m={rec.m}, t={rec.t}) with conflicting values "
+                f"{seen[key].value} vs {rec.value}",
+            )
+        seen[key] = rec
+        records.append(rec)
     return records
+
+
+def drop_torn_tail(path: Path | str) -> Optional[str]:
+    """Cut an unterminated last line off a record file, as a crash inside
+    append leaves it, and return its text.
+
+    Returns None, changing nothing, when the file is absent, empty or ends
+    in a newline.  The complete lines are validated first, so a bad line
+    among them raises RecordValidationError and the file stays as it was.
+    """
+    path = Path(path)
+    if not path.exists():
+        return None
+    data = path.read_bytes()
+    if not data or data.endswith(b"\n"):
+        return None
+    cut = data.rfind(b"\n") + 1
+    _parse(path, data[:cut].decode("utf-8").split("\n"))
+    with open(path, "r+b") as fh:
+        fh.truncate(cut)
+    return data[cut:].decode("utf-8", errors="replace")
 
 
 def merge(paths: Sequence[Path | str], out: Path | str) -> list[ResultRecord]:

@@ -123,6 +123,43 @@ class TestReduceMod4:
         assert core % 4 != 0
 
 
+def triples_loop(z: int) -> list[Triple]:
+    """The pure-Python loop over a, then b, with an integer square root."""
+    out: list[Triple] = []
+    a = 0
+    while 3 * a * a <= z:
+        rem_a = z - a * a
+        b = a
+        while 2 * b * b <= rem_a:
+            rem = rem_a - b * b
+            c = isqrt(rem)
+            if c * c == rem and c >= b:
+                out.append(Triple(a, b, c))
+            b += 1
+        a += 1
+    return out
+
+
+def triples_up_to(limit: int) -> list[list[Triple]]:
+    """The same loop for every z <= limit at once: c runs up from b and
+    each triple is filed under its z, so each list is lexicographic."""
+    out: list[list[Triple]] = [[] for _ in range(limit + 1)]
+    a = 0
+    while 3 * a * a <= limit:
+        b = a
+        while a * a + 2 * b * b <= limit:
+            c = b
+            while (z := a * a + b * b + c * c) <= limit:
+                out[z].append(Triple(a, b, c))
+                c += 1
+            b += 1
+        a += 1
+    return out
+
+
+SINGLE_ANCHORS = (2062, 2542, 2566, 3634, 4558, 4678, 7282, 8710, 99994, 999994)
+
+
 class TestEnumerateTriples:
     def test_1002(self):
         assert enumerate_triples(1002) == [
@@ -146,6 +183,17 @@ class TestEnumerateTriples:
     def test_small_range_exhaustive(self):
         for z in range(1, 500):
             assert enumerate_triples(z) == triples_oracle(z)
+
+    def test_matches_loop_on_every_z_to_20000(self):
+        for z, want in enumerate(triples_up_to(20000)):
+            if z:
+                got = enumerate_triples(z)
+                assert got == want, z
+                assert all(type(x) is int for tr in got for x in tr), z
+
+    @pytest.mark.parametrize("z", SINGLE_ANCHORS)
+    def test_matches_loop_at_single_anchors(self, z):
+        assert enumerate_triples(z) == triples_loop(z)
 
 
 def counts_up_to(limit: int) -> np.ndarray:

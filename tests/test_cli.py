@@ -1,8 +1,13 @@
 """End-to-end CLI behavior through main(), including exit codes."""
 
+from dataclasses import replace
+
 import pytest
 
+from oddcycles import search
 from oddcycles.cli import main
+from oddcycles.resolver import Reason, compute_C
+from oddcycles.search import SearchMemoryError
 from oddcycles.store import load
 
 
@@ -33,6 +38,40 @@ class TestResolve:
         code, _, err = run(capsys, "c", "0", "5")
         assert code == 2
         assert "error" in err
+
+
+class TestSearchMemoryError:
+    """An engine over its memory budget gives an Unresolved result, exit 3."""
+
+    @pytest.fixture(autouse=True)
+    def over_budget(self, monkeypatch):
+        def raise_budget(vs, n):
+            raise SearchMemoryError(f"left side at n={n} exceeds budget")
+
+        monkeypatch.setattr(search, "meet_in_middle", raise_budget)
+
+    def test_compute_c_unresolved(self):
+        res = compute_C(3, 10)
+        assert res.reason is Reason.UNRESOLVED and res.value is None
+
+    def test_c_exit(self, capsys):
+        code, out, _ = run(capsys, "c", "3", "10")
+        assert code == 3
+        assert "C_3(10) = unresolved" in out
+
+    def test_run_records_unresolved(self, capsys, tmp_path):
+        out_path = tmp_path / "r.jsonl"
+        code, _, err = run(capsys, "run", "--range", "6..10", "--out", str(out_path))
+        assert code == 3
+        assert "unresolved at t=10" in err
+        assert [(r.t, r.reason, r.value) for r in load(out_path)] == [
+            (6, "Triangle", 3), (10, "Unresolved", None),
+        ]
+
+    def test_table_exit(self, capsys, tmp_path):
+        code, _, err = run(capsys, "table", "--max", "20", "--out", str(tmp_path / "c.csv"))
+        assert code == 3
+        assert "search unresolved at n=10" in err
 
 
 class TestSmallCommands:
@@ -152,12 +191,49 @@ class TestVerifyRunMerge:
         assert "bad.jsonl:1" in err
 
     def test_run_on_malformed_record_file(self, capsys, tmp_path):
-        bad = tmp_path / "torn.jsonl"
-        bad.write_text('{"schema_version":1,"t":2')
+        # a bad line before the last one is not a torn tail: no resume
+        bad = tmp_path / "bad.jsonl"
+        run(capsys, "run", "--range", "2..10", "--out", str(bad))
+        text = '{"schema_version":1,"t":2\n' + bad.read_text() + '{"schema_version"'
+        bad.write_text(text)
         code, _, err = run(capsys, "run", "--range", "2..30", "--out", str(bad))
         assert code == 4
-        assert "torn.jsonl:1" in err
-        assert bad.read_text() == '{"schema_version":1,"t":2'
+        assert "bad.jsonl:1" in err
+        assert bad.read_text() == text
+
+    def test_run_resumes_after_torn_last_line(self, capsys, tmp_path):
+        out_path = tmp_path / "r.jsonl"
+        run(capsys, "run", "--range", "2..30", "--out", str(out_path))
+        whole = load(out_path)
+        lines = out_path.read_text().splitlines(keepends=True)
+        out_path.write_text("".join(lines[:3]) + lines[3][:20])
+        code, _, err = run(capsys, "run", "--range", "2..30", "--out", str(out_path))
+        assert code == 0
+        assert "warning:" in err and "unterminated last line" in err
+        assert out_path.read_text().startswith("".join(lines[:3]))
+        # t=14 is resolved again: the same record apart from its timing
+        assert [replace(r, elapsed_ms=0) for r in load(out_path)] == [
+            replace(r, elapsed_ms=0) for r in whole
+        ]
+
+    @pytest.mark.parametrize("line,message", [
+        ("[1]", "not a JSON object"),
+        ('{"schema_version":1,"t":10,"m":3,"value":5,"reason":"Searched",'
+         '"certificate":5,"algorithm":"x","elapsed_ms":0,"nodes_examined":0,'
+         '"shard_id":0,"worker_count":1}', "int"),
+    ])
+    @pytest.mark.parametrize("command", ["verify", "merge", "run"])
+    def test_non_object_or_bad_certificate_line(self, capsys, tmp_path, line, message, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        argv = {
+            "verify": ["verify", "--in", str(bad)],
+            "merge": ["merge", str(bad), "--out", str(tmp_path / "m.jsonl")],
+            "run": ["run", "--range", "2..10", "--out", str(bad)],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert err.startswith(f"{bad}:1: ") and message in err
 
     def test_merge_conflict_exit(self, capsys, tmp_path):
         a = tmp_path / "a.jsonl"

@@ -1,20 +1,29 @@
 """Engine behavior: verification, exhaustion, agreement, special-form search."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, isqrt
 
 import numpy as np
 import pytest
 
+from oddcycles import search
+from oddcycles.arith import STClass, classify, enumerate_triples
 from oddcycles.search import (
+    _FIRST_CHUNK,
+    _LAST_CHUNK,
     OddCycle,
     SearchMemoryError,
+    _canon,
     _closing_pair,
     _first_hit,
     _half_sums,
     _key_base,
     _keys,
+    _probe_chunks,
+    _rebuild,
+    _representatives,
     _seed_chunks,
+    _signed_perm,
     _unrank,
     brute_force,
     meet_in_middle,
@@ -115,7 +124,38 @@ class TestBruteForce:
             )
 
 
+def set_join_oracle(vs: VectorSet, n: int) -> bool:
+    """Whether some n-multiset of vs sums to zero, with no orbit quotient.
+
+    D_h, the distinct h-sums, is built as a sorted key array; a cycle is a
+    sum s in D_h1 and a vector v with -(s + v) in D_h1 (h2 = h1 + 1).
+    """
+    keys = _keys(vs.vectors, _key_base(vs, n))
+    sums = np.zeros(1, dtype=np.int64)
+    for _ in range(n // 2):
+        sums = np.sort((sums[:, None] + keys[None, :]).ravel())
+        sums = sums[np.r_[True, sums[1:] != sums[:-1]]]
+    for k in keys:
+        probe = -(sums + k)
+        idx = np.minimum(np.searchsorted(sums, probe), len(sums) - 1)
+        if (sums[idx] == probe).any():
+            return True
+    return False
+
+
 class TestMeetInMiddle:
+    def test_quotient_verdicts_match_set_join_oracle(self):
+        for t in range(2, 400, 4):
+            if classify(t) is not STClass.T:
+                continue
+            vs = vector_set(t)
+            for n in (5, 7):
+                out = meet_in_middle(vs, n)
+                assert (out.found is not None) == set_join_oracle(vs, n), (t, n)
+                assert out.exhausted == (out.found is None), (t, n)
+                if out.found is not None:
+                    assert len(out.found) == n and verify_cycle(out.found).valid
+
     def test_exhausts_nine_at_58(self):
         out = meet_in_middle(vector_set(58), 9)
         assert out.found is None and out.exhausted
@@ -132,6 +172,15 @@ class TestMeetInMiddle:
     def test_memory_budget_error(self):
         with pytest.raises(SearchMemoryError):
             meet_in_middle(vector_set(1002), 9, memory_budget=1000)
+
+    def test_budget_counts_quotient_left_keys(self):
+        # n = 5: the left side is canon(r + v), |R| * |V| keys before dedupe
+        vs = vector_set(1002)
+        size = 4 * 192
+        assert len(_representatives(vs)) == 4
+        assert meet_in_middle(vs, 5, memory_budget=size).nodes_examined >= size
+        with pytest.raises(SearchMemoryError):
+            meet_in_middle(vs, 5, memory_budget=size - 1)
 
 
 class TestModifiedFiveCycle:
@@ -202,6 +251,15 @@ class TestMinOddCycle:
         res = min_odd_cycle(58, n_max=9)
         assert res.unresolved and res.n is None
 
+    def test_memory_error_ends_ladder_unresolved(self, monkeypatch):
+        def over_budget(vs, n):
+            raise SearchMemoryError("too many keys")
+
+        monkeypatch.setattr(search, "meet_in_middle", over_budget)
+        res = min_odd_cycle(10)
+        assert res.unresolved and res.n is None and res.certificate is None
+        assert [(o.length_tried, o.budget_exceeded) for o in res.outcomes] == [(5, True)]
+
 
 class TestEngineAgreementSmall:
     @pytest.mark.parametrize("t", [10, 22, 34])
@@ -271,32 +329,111 @@ class TestJoinKernel:
         assert _first_hit(left, iter([np.array([10, 0], dtype=np.int64)])) == (None, 7)
 
 
+    @pytest.mark.parametrize("t", [22, 58, 1002, 99994])
+    def test_representatives_are_the_triples(self, t):
+        vs = vector_set(t)
+        reps = [vs.vectors[i] for i in _representatives(vs)]
+        assert reps == [tuple(tr) for tr in enumerate_triples(t)]
+
+    def test_canon_key_sorts_absolute_values(self):
+        # V(58) holds (0, 3, 7) and V(22) holds (2, 3, 3): sums with zero
+        # and with equal-magnitude coordinates
+        for t in (22, 58):
+            vs = vector_set(t)
+            base = _key_base(vs, 3)
+            rows = list(combinations_with_replacement(range(len(vs)), 3))
+            sums = [[sum(vs.vectors[i][j] for i in row) for j in range(3)] for row in rows]
+            want = _keys([sorted(map(abs, w)) for w in sums], base)
+            got = _canon(_half_sums(_keys(vs.vectors, base), 3, 0, len(vs)), base)
+            assert got.tolist() == want.tolist()
+
+    def test_canon_at_largest_base(self):
+        base = 1664509
+        offset = (base - 1) // 2
+        ends = (-offset, -1, 0, 1, offset)
+        points = [(x, y, z) for x in ends for y in ends for z in ends]
+        got = _canon(_keys(points, base), base)
+        assert got.tolist() == _keys([sorted(map(abs, p)) for p in points], base).tolist()
+
+    @pytest.mark.parametrize("src", [
+        (0, 0, 0), (0, 0, 5), (0, 3, -3), (2, 2, 2), (1, -1, 0), (4, -4, 7), (-6, 9, -9),
+    ])
+    def test_signed_perm_maps_src_to_every_image(self, src):
+        images = set()
+        for perm in permutations(range(3)):
+            for signs in product((1, -1), repeat=3):
+                images.add(tuple(signs[k] * src[perm[k]] for k in range(3)))
+        for dst in images:
+            g = _signed_perm(src, dst)
+            assert g(src) == dst, (src, dst)
+            units = [g(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+            assert sorted(map(abs, sum(units, ()))) == [0] * 6 + [1] * 3
+            assert {tuple(map(abs, u)).index(1) for u in units} == {0, 1, 2}
+
+    @pytest.mark.parametrize("t,cycle", [(22, NINE_CYCLE_22), (82, SEVEN_CYCLE_82)])
+    def test_rebuild_from_any_moved_left_part(self, t, cycle):
+        # split a cycle, move its left part by any signed permutation h:
+        # the rebuild must undo h far enough to close the cycle again
+        for k in range(1, len(cycle)):
+            left, probe = cycle[:k], cycle[k:]
+            for perm in permutations(range(3)):
+                for signs in product((1, -1), repeat=3):
+                    moved = [tuple(signs[j] * v[perm[j]] for j in range(3)) for v in left]
+                    out = _rebuild(t, moved, probe)
+                    assert verify_cycle(out).valid and len(out) == len(cycle)
+                    assert set(probe) <= set(out.vectors)
+
+    def test_probe_chunk_rows_and_sizes(self):
+        rng = np.random.default_rng(5)
+        base = 101
+        bvecs = rng.integers(-10, 11, size=(7, 3))
+        avecs = [rng.integers(-20, 21, size=(m, 3)) for m in (3, 900, 5000)]
+        arrays = [_keys(a, base) for a in avecs]
+        chunks = list(_probe_chunks(iter(arrays), _keys(bvecs, base), base))
+        sums = [a + b for a in np.concatenate(avecs) for b in bvecs]
+        want = _keys([sorted(map(abs, w)) for w in sums], base)
+        assert np.concatenate(chunks).tolist() == want.tolist()
+        assert all(len(c) % len(bvecs) == 0 for c in chunks)
+        sizes = [len(c) // len(bvecs) for c in chunks]
+        full = [max(1, min(_FIRST_CHUNK << i, _LAST_CHUNK) // 7) for i in range(len(chunks))]
+        # each chunk is its doubling target, cut short only where an array ends
+        assert all(got <= cap for got, cap in zip(sizes, full))
+        assert sizes[0] == 3 and sizes[1] == full[1]
+
+
 class TestPinnedCertificates:
     """Exact certificates; a change in which witness the join returns fails here."""
 
     def test_mitm_nine_at_22(self):
         out = meet_in_middle(vector_set(22), 9)
+        assert out.found.t == 22 and len(out.found) == 9
         assert out.found.vectors == (
-            (-3, -3, -2), (-3, -3, -2), (-3, -3, -2), (-3, 2, -3), (2, -3, -3),
-            (2, 3, 3), (2, 3, 3), (3, 2, 3), (3, 2, 3),
+            (-3, -3, -2), (-3, -3, -2), (-3, -3, -2), (-3, 2, -3), (2, -3, 3),
+            (2, 3, 3), (2, 3, 3), (3, 2, -3), (3, 2, 3),
         )
 
     def test_mitm_eleven_at_58(self):
         out = meet_in_middle(vector_set(58), 11)
+        assert out.found.t == 58 and len(out.found) == 11
         assert out.found.vectors == (
-            (-7, -3, 0), (-7, -3, 0), (-7, -3, 0), (-7, -3, 0), (-3, 7, 0),
-            (0, 7, -3), (3, 7, 0), (7, -3, 0), (7, -3, 0), (7, -3, 0), (7, 0, 3),
+            (-7, -3, 0), (-7, -3, 0), (-7, 3, 0), (0, 3, 7), (3, -7, 0), (3, -7, 0),
+            (3, -7, 0), (3, 0, -7), (3, 7, 0), (3, 7, 0), (3, 7, 0),
         )
 
     def test_modified_at_1002(self):
         out = modified_five_cycle(1002)
+        assert out.found.t == 1002 and len(out.found) == 5
         assert out.found.vectors == (
-            (-25, -16, -11), (-11, 25, 16), (4, -31, -5), (16, 11, -25), (16, 11, 25),
+            (-25, -11, -16), (-16, -25, 11), (5, 31, -4), (11, 16, 25), (25, -11, -16),
         )
 
     def test_modified_exhausts_then_mitm_at_2062(self):
+        # the ladder starts at meet_in_middle n=5; the special form has no
+        # 5-cycle at 2062, though MITM finds one
+        assert modified_five_cycle(2062).exhausted
         res = min_odd_cycle(2062)
-        assert [(o.length_tried, o.exhausted) for o in res.outcomes] == [(5, True), (5, False)]
+        assert [(o.length_tried, o.exhausted) for o in res.outcomes] == [(5, False)]
+        assert res.certificate.t == 2062 and len(res.certificate) == 5
         assert res.certificate.vectors == (
-            (-45, -6, -1), (-10, -21, 39), (-1, 6, -45), (17, 42, -3), (39, -21, 10),
+            (-45, -6, -1), (-3, -42, 17), (-1, 6, -45), (10, 21, 39), (39, 21, -10),
         )

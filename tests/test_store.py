@@ -9,6 +9,7 @@ from oddcycles.store import (
     ResultRecord,
     StoreConflictError,
     append,
+    drop_torn_tail,
     load,
     merge,
     resolved_keys,
@@ -151,3 +152,22 @@ class TestResolvedKeys:
         path = tmp_path / "out.jsonl"
         append(path, record_22())
         assert resolved_keys(path) == {(3, 22)}
+
+
+class TestDropTornTail:
+    def test_only_an_unterminated_last_line_is_cut(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        assert drop_torn_tail(path) is None
+        append(path, record_22())
+        whole = path.read_text()
+        assert drop_torn_tail(path) is None and path.read_text() == whole
+        with open(path, "a") as fh:
+            fh.write('{"schema_version":1,"t":2')
+        assert drop_torn_tail(path) == '{"schema_version":1,"t":2'
+        assert path.read_text() == whole
+
+    def test_lone_torn_line_leaves_empty_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_text('{"schema_version":1,"t":2')
+        assert drop_torn_tail(path) == '{"schema_version":1,"t":2'
+        assert path.read_text() == "" and load(path) == []
