@@ -1,8 +1,8 @@
 """Integer arithmetic foundations.
 
-Factorization, square-free parts, three- and four-square decompositions,
-and the S/T classifier for integers congruent to 2 mod 4.  Everything here
-is exact integer arithmetic; the one floating-point square root, in
+Factorization, three- and four-square decompositions, and the S/T
+classifier for integers congruent to 2 mod 4.  Everything here is exact
+integer arithmetic; the one floating-point square root, in
 enumerate_triples, is corrected to the exact integer root.
 """
 
@@ -65,16 +65,6 @@ def factorize(n: int) -> Factorization:
         return Factorization(())
     fac = sympy.factorint(n)
     return Factorization(tuple(sorted(fac.items())))
-
-
-def squarefree_part(n: int) -> int:
-    """Product of the primes dividing n to an odd power."""
-    _check_positive(n)
-    out = 1
-    for p, e in factorize(n).prime_powers:
-        if e % 2 == 1:
-            out *= p
-    return out
 
 
 def classify(t: int) -> STClass:

@@ -1,8 +1,8 @@
 """Closed-form cycle builders.
 
 Equilateral-triangle 3-cycles for class S, the K4 point set that settles
-every even r in dimension >= 4, two 5-cycle template families driven by
-binary quadratic forms, and the distance-doubling map on Z^2.
+every even r in dimension >= 4, and two 5-cycle template families driven
+by binary quadratic forms.
 """
 
 from __future__ import annotations
@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from math import ceil, isqrt
 from typing import Callable, Optional
 
-from .arith import (
-    STClass,
-    Triple,
-    classify,
-    enumerate_triples,
-    four_square_decomposition,
-)
+from .arith import STClass, classify, four_square_decomposition
 from .search import OddCycle, verify_cycle
 from .vectors import LatticeVector, magnitude_sq
 
@@ -131,15 +125,6 @@ def triangle_cycle(s: int) -> OddCycle:
     return cycle
 
 
-def triangle_witness_via_triples(s: int) -> Optional[Triple]:
-    """Independent S witness: a triple a^2+b^2+c^2 = s with a+b = c up to signs."""
-    for tr in enumerate_triples(s):
-        for x, y, z in ((tr.a, tr.b, tr.c), (tr.a, tr.c, tr.b), (tr.b, tr.c, tr.a)):
-            if x + y == z or abs(x - y) == z:
-                return tr
-    return None
-
-
 def param_cycle(p: ParamId, x: int, y: int) -> OddCycle:
     """Instantiate a template family at (x, y); verified before return."""
     if x == 0 and y == 0:
@@ -183,9 +168,3 @@ def k4_triangle(m: int, r: int) -> OddCycle:
     v2 = tuple(a - b for a, b in zip(p3, p2))
     v3 = tuple(a - b for a, b in zip(p1, p3))
     return OddCycle.from_vectors(r, [v1, v2, v3])
-
-
-def z2_doubling_map(p: tuple[int, int]) -> tuple[int, int]:
-    """(a, b) -> (a + b, a - b); doubles every squared distance in Z^2."""
-    a, b = p
-    return (a + b, a - b)

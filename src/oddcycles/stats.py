@@ -1,9 +1,22 @@
 """Empirical density of the class-T integers among those = 2 (mod 4).
 
-Classification at scale runs on odd half-values u = t / 2 with a blockwise
-sieve: small primes are divided out with exponent-parity tracking for the
-primes congruent to 2 mod 3, and whatever survives is either 1 or a single
-large prime, whose residue mod 3 decides the class.
+t = 2u with u odd is in class T when some prime p = 2 (mod 3) divides u
+to an odd power.  Classification at scale runs a blockwise sieve over the
+odd u up to umax = n / 2, with only slices of bool arrays, no division:
+
+- Small primes, p <= sqrt(umax).  Only p = 2 (mod 3) can decide the
+  class.  The exponent of p in u is the number of k >= 1 with p^k | u, so
+  one bool per multiple of p, toggled along the stride of each p^k with
+  k >= 2, holds its parity.  A u with some small p at odd exponent is in T.
+- The cofactor.  What is left of u after the small primes is 1 or a single
+  prime q > sqrt(umax), at exponent 1.  Let u' = u / 3^v with 3^v || u.
+  Primes = 1 (mod 3) leave u' mod 3 alone, and each prime = 2 (mod 3)
+  flips it once per unit of exponent.  So when every small p = 2 (mod 3)
+  has even exponent, u' = q (mod 3), with q = 1 when no cofactor is left,
+  and u is in T exactly when u' = 2 (mod 3).  Hence T is the union of the
+  two tests: a small p = 2 (mod 3) at odd exponent, or u' = 2 (mod 3).
+  Along the multiples of 3^k, u / 3^k mod 3 has period 3, so u' mod 3 is
+  filled in by strided slices, one 3^k level at a time.
 """
 
 from __future__ import annotations
@@ -34,31 +47,46 @@ class DensityRow:
         return f"{float(self.g):.4f}"
 
 
-def _sieve_block(u_lo: int, u_hi: int, primes: np.ndarray) -> np.ndarray:
-    """Boolean T-membership for t = 2u over odd u in [u_lo, u_hi)."""
-    us = np.arange(u_lo, u_hi, 2, dtype=np.int64)
-    res = us.copy()
-    is_t = np.zeros(len(us), dtype=bool)
+def _first_multiple(u_lo: int, m: int) -> int:
+    """Least i >= 0 with m | u_lo + 2i, for odd m."""
+    return (-u_lo * ((m + 1) // 2)) % m
+
+
+def _sieve_block(u_lo: int, u_hi: int, primes: Sequence[int]) -> np.ndarray:
+    """Boolean T-membership for t = 2u over odd u in [u_lo, u_hi).
+
+    Index i stands for u = u_lo + 2i, and ``primes`` holds every odd prime
+    up to the square root of the largest u.  The module docstring gives
+    the argument.
+    """
+    n = len(range(u_lo, u_hi, 2))
+    # Cofactor test: u / 3^v = 2 (mod 3) with 3^v || u, set level by level
+    # along the 3^k strides.  Along one stride the quotient runs c, c + 2,
+    # c + 4, ... (mod 3), so it is 2 at every third entry from (c + 1) mod 3.
+    is_t = np.zeros(n, dtype=bool)
+    is_t[(u_lo + 1) % 3 :: 3] = True
+    q = 3
+    while q < u_hi:
+        i = _first_multiple(u_lo, q)
+        level = is_t[i::q]
+        level[:] = False
+        level[((u_lo + 2 * i) // q + 1) % 3 :: 3] = True
+        q *= 3
+    # Small primes = 2 (mod 3) at odd exponent
     for p in primes:
-        p = int(p)
-        inv2 = (p + 1) // 2
-        i0 = ((-u_lo % p) * inv2) % p
-        idx = np.arange(i0, len(us), p)
-        track = p % 3 == 2
-        if track:
-            parity = np.zeros(len(us), dtype=bool)
-        sub = idx
-        while len(sub):
-            res[sub] //= p
-            if track:
-                parity[sub] ^= True
-            sub = sub[res[sub] % p == 0]
-        # T needs *some* prime = 2 (mod 3) at odd exponent, so odd-exponent
-        # parity is accumulated per prime and OR-ed, never XOR-ed across primes
-        if track:
-            is_t |= parity
-    # survivor > 1 is a single prime with exponent 1
-    is_t |= (res > 1) & (res % 3 == 2)
+        if p % 3 != 2:
+            continue
+        i0 = _first_multiple(u_lo, p)
+        q = p * p
+        if q >= u_hi or _first_multiple(u_lo, q) >= n:
+            is_t[i0::p] = True  # no p^2 divides a u here
+            continue
+        # one entry per multiple of p, toggled once for each k >= 2 with p^k | u
+        odd = np.ones(len(range(i0, n, p)), dtype=bool)
+        while q < u_hi:
+            odd[(_first_multiple(u_lo, q) - i0) // p :: q // p] ^= True
+            q *= p
+        is_t[i0::p] |= odd
     return is_t
 
 
@@ -79,32 +107,28 @@ def density_table(
         raise ValueError(f"checkpoint {cps[-1]} exceeds limit {MAX_CHECKPOINT}")
 
     umax = cps[-1] // 2
-    primes = np.array(list(sympy.primerange(3, isqrt(umax) + 1)), dtype=np.int64)
+    primes = list(sympy.primerange(3, isqrt(umax) + 1))
     blocks = [
         (lo, min(lo + 2 * block, umax + 1)) for lo in range(1, umax + 1, 2 * block)
     ]
 
-    if workers <= 1:
-        results = (_sieve_block(lo, hi, primes) for lo, hi in blocks)
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        results = pool.map(lambda b: _sieve_block(*b, primes), blocks)
-
     rows: list[DensityRow] = []
     cp_idx = 0
     t_total = 0
-    for (lo, hi), is_t in zip(blocks, results):
-        while cp_idx < len(cps) and cps[cp_idx] // 2 < hi:
-            u_limit = cps[cp_idx] // 2
-            k = (u_limit - lo) // 2 + 1 if u_limit >= lo else 0
-            count = t_total + int(is_t[:k].sum())
-            n = cps[cp_idx]
-            denom = (n + 2) // 4
-            rows.append(DensityRow(n=n, t_count=count, g=Fraction(count, denom)))
-            cp_idx += 1
-        t_total += int(is_t.sum())
-    if workers > 1:
-        pool.shutdown()
+    # the pool starts threads only on submit, so workers <= 1 starts none
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        run = pool.map if workers > 1 else map
+        results = run(lambda b: _sieve_block(*b, primes), blocks)
+        for (lo, hi), is_t in zip(blocks, results):
+            while cp_idx < len(cps) and cps[cp_idx] // 2 < hi:
+                u_limit = cps[cp_idx] // 2
+                k = (u_limit - lo) // 2 + 1 if u_limit >= lo else 0
+                count = t_total + int(is_t[:k].sum())
+                n = cps[cp_idx]
+                denom = (n + 2) // 4
+                rows.append(DensityRow(n=n, t_count=count, g=Fraction(count, denom)))
+                cp_idx += 1
+            t_total += int(is_t.sum())
     return rows
 
 

@@ -8,6 +8,7 @@ trustworthy regardless of which shard or machine produced it.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -179,9 +180,18 @@ def merge(paths: Sequence[Path | str], out: Path | str) -> list[ResultRecord]:
     if conflicts:
         raise StoreConflictError(conflicts)
     records = [merged[k] for k in sorted(merged)]
-    with open(out, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
+    # Write beside the output, then rename over it: a merge that fails
+    # partway leaves any existing output as it was.
+    out = Path(out)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(rec.to_json() + "\n")
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return records
 
 

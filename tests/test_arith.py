@@ -16,8 +16,16 @@ from oddcycles.arith import (
     factorize,
     four_square_decomposition,
     reduce_mod4,
-    squarefree_part,
 )
+
+
+def squarefree_part(n: int) -> int:
+    """Product of the primes dividing n to an odd power."""
+    out = 1
+    for p, e in factorize(n).prime_powers:
+        if e % 2 == 1:
+            out *= p
+    return out
 
 
 def trial_division(n: int) -> list[tuple[int, int]]:

@@ -1,12 +1,111 @@
 """Density of class T, cross-checked against the direct classifier."""
 
 import io
+import random
+import threading
+from math import isqrt
 
+import numpy as np
 import pytest
+import sympy
+from test_constructions import triangle_witness_via_triples
 
+from oddcycles import stats
 from oddcycles.arith import STClass, classify
-from oddcycles.constructions import triangle_witness_via_triples
 from oddcycles.stats import DensityRow, density_table, write_density_csv
+
+UMAX = 5 * 10**7
+PRIMES = list(sympy.primerange(3, isqrt(UMAX) + 1))
+
+
+def sieve_block_by_division(u_lo: int, u_hi: int, primes) -> np.ndarray:
+    """Reference sieve: divide every odd prime out of each u, tracking the
+    exponent parity of the primes = 2 (mod 3); the survivor is 1 or one
+    large prime."""
+    us = np.arange(u_lo, u_hi, 2, dtype=np.int64)
+    res = us.copy()
+    is_t = np.zeros(len(us), dtype=bool)
+    for p in primes:
+        p = int(p)
+        inv2 = (p + 1) // 2
+        i0 = ((-u_lo % p) * inv2) % p
+        idx = np.arange(i0, len(us), p)
+        track = p % 3 == 2
+        if track:
+            parity = np.zeros(len(us), dtype=bool)
+        sub = idx
+        while len(sub):
+            res[sub] //= p
+            if track:
+                parity[sub] ^= True
+            sub = sub[res[sub] % p == 0]
+        # T needs *some* prime = 2 (mod 3) at odd exponent, so odd-exponent
+        # parity is accumulated per prime and OR-ed, never XOR-ed across primes
+        if track:
+            is_t |= parity
+    # survivor > 1 is a single prime with exponent 1
+    is_t |= (res > 1) & (res % 3 == 2)
+    return is_t
+
+
+def assert_blocks_agree(blocks, primes=PRIMES):
+    for lo, hi in blocks:
+        assert lo % 2 == 1 and hi <= UMAX + 1
+        got = stats._sieve_block(lo, hi, primes)
+        want = sieve_block_by_division(lo, hi, primes)
+        assert got.dtype == bool and np.array_equal(got, want), (lo, hi)
+
+
+class TestSieveBlock:
+    """The division-free kernel against the division-based reference."""
+
+    def test_seeded_random_blocks(self):
+        rng = random.Random(7)
+        blocks = []
+        for _ in range(24):
+            lo = rng.randrange(1, UMAX - (1 << 16)) | 1
+            blocks.append((lo, lo + 2 * rng.randrange(1, 1 << 15)))
+        assert_blocks_agree(blocks)
+
+    def test_random_blocks_with_their_own_prime_bound(self):
+        rng = random.Random(8)
+        for _ in range(12):
+            umax = rng.randrange(10, UMAX)
+            primes = list(sympy.primerange(3, isqrt(umax) + 1))
+            lo = rng.randrange(1, umax + 1) | 1
+            hi = min(umax + 1, lo + 2 * rng.randrange(1, 1 << 14))
+            assert_blocks_agree([(lo, hi)], primes)
+
+    @pytest.mark.parametrize(
+        "power",
+        [
+            3**16, 5**11, 11**7, 17**6,
+            7069**2, 7057**2, 7043**2, 7019**2,  # p just under sqrt(UMAX)
+            367**3, 359**3, 353**3,  # p just under the cube root of UMAX
+        ],
+    )
+    def test_blocks_at_high_prime_powers(self, power):
+        assert_blocks_agree([
+            (power, min(power + 2 * 4099, UMAX + 1)),  # starts at the power
+            (power - 2 * 1000, power + 2 * 999),  # holds it inside
+            (power - 2 * 4095, power + 1),  # ends at it
+        ])
+
+    def test_short_and_odd_length_blocks(self):
+        starts = [1, 3, 9, 27, 25, 3**16, 5**11, 7043**2, UMAX - 7]
+        # 1, 1, 2, 3, 4 and 1001 odd u per block
+        spans = (1, 2, 3, 6, 7, 2001)
+        blocks = [(lo, lo + span) for lo in starts for span in spans]
+        assert_blocks_agree([(lo, min(hi, UMAX + 1)) for lo, hi in blocks])
+
+    def test_every_block_at_block_size_4096(self):
+        umax, block = 3 * 10**5 + 17, 1 << 12
+        primes = list(sympy.primerange(3, isqrt(umax) + 1))
+        blocks = [
+            (lo, min(lo + 2 * block, umax + 1)) for lo in range(1, umax + 1, 2 * block)
+        ]
+        assert_blocks_agree(blocks, primes)
+        assert density_table([2 * umax], block=block) == density_table([2 * umax])
 
 
 class TestDensityTable:
@@ -35,6 +134,15 @@ class TestDensityTable:
         direct = sum(1 for t in range(2, 10**4 + 1, 4) if classify(t) is STClass.T)
         assert rows[0].t_count == direct
 
+    def test_cumulative_counts_match_classify_at_every_n(self):
+        limit = 2 * 10**4
+        rows = density_table(list(range(2, limit + 1)))
+        count, want = 0, []
+        for n in range(2, limit + 1):
+            count += n % 4 == 2 and classify(n) is STClass.T
+            want.append(count)
+        assert [r.t_count for r in rows] == want
+
     def test_agrees_with_triple_rule(self):
         # second independent classifier: S iff some a^2+b^2+c^2 = t has a+b = c
         limit = 2000
@@ -50,6 +158,16 @@ class TestDensityTable:
         seq = density_table([10**5])
         par = density_table([10**5], workers=4, block=1 << 12)
         assert seq == par
+
+    def test_failing_block_shuts_the_pool_down(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(stats, "_sieve_block", fail)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="block failed"):
+            density_table([10**5], workers=2, block=1 << 12)
+        assert set(threading.enumerate()) <= before
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):

@@ -144,6 +144,38 @@ class TestMerge:
         assert not out.exists()
 
 
+    def test_failed_write_leaves_output_untouched(self, tmp_path, monkeypatch):
+        a, b, out = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "m.jsonl"))
+        append(a, record_22())
+        append(b, record_triangle(2, TRIANGLE_2))
+        out.write_text("previous merge\n")
+        before = out.read_bytes()
+        real_to_json = ResultRecord.to_json
+        written = []
+
+        def fail_on_second(rec):
+            if written:
+                raise OSError("disk full")
+            written.append(rec)
+            return real_to_json(rec)
+
+        monkeypatch.setattr(ResultRecord, "to_json", fail_on_second)
+        with pytest.raises(OSError, match="disk full"):
+            merge([a, b], out)
+        assert written  # the failure came partway through the output
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.jsonl", "b.jsonl", "m.jsonl",
+        ]
+
+    def test_replaces_existing_output(self, tmp_path):
+        a, out = tmp_path / "a.jsonl", tmp_path / "m.jsonl"
+        append(a, record_22())
+        out.write_text("previous merge\n")
+        assert merge([a], out) == load(out) == [record_22()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "m.jsonl"]
+
+
 class TestResolvedKeys:
     def test_missing_file_is_empty(self, tmp_path):
         assert resolved_keys(tmp_path / "nope.jsonl") == set()
