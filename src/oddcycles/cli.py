@@ -9,33 +9,20 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
 
 from . import arith, stats, store, vectors
 from .resolver import CmResult, Reason, compute_C
-from .search import (
-    DEFAULT_N_MAX,
-    SearchMemoryError,
-    brute_force,
-    meet_in_middle,
-    modified_five_cycle,
-)
+from .search import SearchMemoryError, brute_force, meet_in_middle, modified_five_cycle
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNRESOLVED = 3
 EXIT_VERIFY = 4
 
-BUDGET_ENV = "ODDCYCLES_BUDGET"
-DEFAULT_BUDGET = 10**9
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_BUDGET
+BRUTE_BUDGET = 10**9  # largest search space `search --algo brute` takes on
 
 
 def _fmt_vec(v: tuple[int, ...]) -> str:
@@ -52,7 +39,7 @@ def _print_result(res: CmResult) -> None:
 
 
 def cmd_c(args: argparse.Namespace) -> int:
-    res = compute_C(args.m, args.r, n_max=args.n_max)
+    res = compute_C(args.m, args.r)
     _print_result(res)
     return EXIT_UNRESOLVED if res.reason is Reason.UNRESOLVED else EXIT_OK
 
@@ -80,17 +67,16 @@ def cmd_vectors(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
     if args.algo == "modified":
         out = modified_five_cycle(args.t)
     else:
         vs = vectors.vector_set(args.t)
         if args.algo == "brute":
             size = vectors.search_space_size(max(len(vs), 1), args.length)
-            if size > budget:
+            if size > BRUTE_BUDGET:
                 print(
                     f"refusing brute force: estimated search space {size} "
-                    f"exceeds budget {budget}",
+                    f"exceeds budget {BRUTE_BUDGET}",
                     file=sys.stderr,
                 )
                 return EXIT_USAGE
@@ -117,7 +103,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     lines = ["n,c3"]
     for n in range(2, args.max, 4):
-        res = compute_C(3, n, n_max=args.n_max)
+        res = compute_C(3, n)
         if res.value is None:
             print(f"search unresolved at n={n}", file=sys.stderr)
             return EXIT_UNRESOLVED
@@ -145,32 +131,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     records = store.load(args.infile)
     print(f"{len(records)} records verified")
     return EXIT_OK
-
-
-def _record_from_result(
-    res: CmResult, elapsed_ms: int, shard_id: int
-) -> store.ResultRecord:
-    cert = None
-    if res.certificate is not None:
-        cert = tuple(res.certificate.vectors)
-    # "modified+meet-in-middle" is schema v1's label for a searched value
-    algorithm = (
-        "closed-form"
-        if res.reason is not Reason.SEARCHED
-        else "modified+meet-in-middle"
-    )
-    return store.ResultRecord(
-        t=res.r,
-        m=res.m,
-        value=res.value,
-        reason=res.reason.value,
-        certificate=cert,
-        algorithm=algorithm,
-        elapsed_ms=elapsed_ms,
-        nodes_examined=res.nodes_examined,
-        shard_id=shard_id,
-        worker_count=1,  # schema v1 field; searches run in one thread
-    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -201,12 +161,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         if (3, t) in done:
             continue
         t0 = time.perf_counter()
-        res = compute_C(3, t, n_max=args.n_max)
+        res = compute_C(3, t)
         elapsed_ms = int((time.perf_counter() - t0) * 1000)
         if res.reason is Reason.UNRESOLVED:
             unresolved += 1
             print(f"unresolved at t={t}", file=sys.stderr)
-        store.append(args.out, _record_from_result(res, elapsed_ms, args.shard_id))
+        record = store.ResultRecord.from_result(res, elapsed_ms, args.shard_id)
+        store.append(args.out, record)
     return EXIT_UNRESOLVED if unresolved else EXIT_OK
 
 
@@ -226,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("c", help="resolve C_m(r)")
     p.add_argument("m", type=int)
     p.add_argument("r", type=int)
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p.set_defaults(func=cmd_c)
 
     p = sub.add_parser("decompose", help="triples a<=b<=c with a^2+b^2+c^2 = z")
@@ -246,13 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("t", type=int)
     p.add_argument("--algo", choices=("brute", "mitm", "modified"), required=True)
     p.add_argument("--length", type=int, default=5)
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("table", help="C_3 chart for n = 2 (mod 4), n < max")
     p.add_argument("--max", type=int, default=2000)
     p.add_argument("--out", default=None)
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("density", help="class-T density rows")
@@ -270,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--shard-id", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("merge", help="merge record files")

@@ -11,8 +11,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import STClass, classify, count_reps, reduce_mod4
-from .search import DEFAULT_N_MAX, OddCycle, min_odd_cycle
+from .arith import STClass, classify, reduce_mod4
+from .search import OddCycle, min_odd_cycle
 from .constructions import k4_triangle, triangle_cycle
 
 
@@ -40,7 +40,7 @@ class CmResult:
     nodes_examined: int = 0
 
 
-def compute_C(m: int, r: int, n_max: int = DEFAULT_N_MAX) -> CmResult:
+def compute_C(m: int, r: int) -> CmResult:
     """Resolve the minimum odd cycle length for magnitude-sq r in Z^m."""
     if m < 1 or r < 1:
         raise ValueError(f"m and r must be positive, got ({m}, {r})")
@@ -63,25 +63,9 @@ def compute_C(m: int, r: int, n_max: int = DEFAULT_N_MAX) -> CmResult:
         return CmResult(m, r, 0, Reason.ODD_R, None, core)
     if classify(core) is STClass.S:
         return CmResult(m, r, 3, Reason.TRIANGLE, triangle_cycle(core), core)
-    res = min_odd_cycle(core, n_max=n_max)
+    res = min_odd_cycle(core)
     nodes = sum(out.nodes_examined for out in res.outcomes)
     if res.unresolved:
         return CmResult(m, r, None, Reason.UNRESOLVED, None, core, nodes)
     return CmResult(m, r, res.n, Reason.SEARCHED, res.certificate, core, nodes)
 
-
-def unique_rep_crosscheck(t: int, res: CmResult) -> Optional[str]:
-    """Consistency probe: a 5-cycle at t > 10^6 forces P(t) >= 2.
-
-    A violation cannot come from correct code, so a returned warning means
-    an implementation bug somewhere upstream.
-    """
-    if t <= 10**6 or res.value != 5:
-        return None
-    reps = count_reps(t)
-    if reps >= 2:
-        return None
-    return (
-        f"t={t} resolved to 5 with P(t)={reps}; a 5-cycle above 10^6 "
-        f"requires at least two three-square representations"
-    )

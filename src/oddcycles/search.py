@@ -43,13 +43,18 @@ brute_force it counts index prefixes visited; the two are not comparable.
 The engines run in one thread; parallel runs split a range of t into
 shards (`oddcycles run --shards`).
 
+The search limits are module constants, read at call time: N_MAX, the
+longest length min_odd_cycle tries, and MEMORY_BUDGET, the most left-side
+keys one meet_in_middle call may build.  A value that passes either is
+unresolved.
+
 Every cycle an engine returns is re-verified internally before it escapes.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -58,12 +63,12 @@ import numpy as np
 from .arith import STClass, classify
 from .vectors import LatticeVector, VectorSet, magnitude_sq, vector_set
 
-DEFAULT_N_MAX = 13
-DEFAULT_MEMORY_BUDGET = 30_000_000  # left-side keys held at once, per engine call
+N_MAX = 13  # longest cycle the ladder tries
+MEMORY_BUDGET = 30_000_000  # left-side keys held at once, per engine call
 
 
 class SearchMemoryError(MemoryError):
-    """The left side of meet-in-the-middle would exceed the budget."""
+    """The left side of meet-in-the-middle would exceed MEMORY_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,6 @@ class SearchOutcome:
     t: int
     length_tried: int
     found: Optional[OddCycle]
-    exhausted: bool
     nodes_examined: int
     elapsed: float
     budget_exceeded: bool = False
@@ -120,7 +124,13 @@ class SearchOutcome:
     def __post_init__(self) -> None:
         if self.found is not None:
             diag = verify_cycle(self.found)
-            assert diag.valid, f"engine produced an invalid cycle: {diag.reason}"
+            if not diag.valid:  # not an assert: it must hold under python -O too
+                raise RuntimeError(f"engine produced an invalid cycle: {diag.reason}")
+
+    @property
+    def exhausted(self) -> bool:
+        """The search ran to its end without finding a cycle."""
+        return self.found is None and not self.budget_exceeded
 
 
 def _check_length(n: int) -> None:
@@ -179,8 +189,8 @@ def brute_force(
     elapsed = time.perf_counter() - start
     if res is None:
         cycle = OddCycle.from_vectors(vs.t, stack)
-        return SearchOutcome(vs.t, n, cycle, False, nodes, elapsed)
-    return SearchOutcome(vs.t, n, None, res, nodes, elapsed, not res)
+        return SearchOutcome(vs.t, n, cycle, nodes, elapsed)
+    return SearchOutcome(vs.t, n, None, nodes, elapsed, budget_exceeded=not res)
 
 
 # ---------------------------------------------------------------------------
@@ -389,31 +399,27 @@ def _rebuild(
 # ---------------------------------------------------------------------------
 
 
-def meet_in_middle(
-    vs: VectorSet,
-    n: int,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> SearchOutcome:
+def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
     """Join of half-length partial sums on B3 orbits; same contract as brute_force.
 
     vs must be a whole V(t), closed under B3.  With h1 = floor(n/2) and
     h2 = ceil(n/2), the left side holds canon(r + M) for every r in R and
     (h1-1)-multiset M; the probes are canon(r + Q) for every r in R and
-    (h2-1)-multiset Q.  A left side of more than memory_budget keys raises
+    (h2-1)-multiset Q.  A left side of more than MEMORY_BUDGET keys raises
     SearchMemoryError.  nodes_examined counts the keys built.
     """
     _check_length(n)
     start = time.perf_counter()
     nv = len(vs.vectors)
     if nv == 0:
-        return SearchOutcome(vs.t, n, None, True, 0, time.perf_counter() - start)
+        return SearchOutcome(vs.t, n, None, 0, time.perf_counter() - start)
 
     h1, h2 = n // 2, n - n // 2
     reps = _representatives(vs)
     size1 = len(reps) * comb(nv + h1 - 2, h1 - 1)
-    if size1 > memory_budget:
+    if size1 > MEMORY_BUDGET:
         raise SearchMemoryError(
-            f"{size1} left keys of size {h1} exceed budget {memory_budget}"
+            f"{size1} left keys of size {h1} exceed budget {MEMORY_BUDGET}"
         )
     base = _key_base(vs, h2)
     keys = _keys(vs.vectors, base)
@@ -427,7 +433,7 @@ def meet_in_middle(
 
     elapsed = time.perf_counter() - start
     if hit is None:
-        return SearchOutcome(vs.t, n, None, True, nodes, elapsed)
+        return SearchOutcome(vs.t, n, None, nodes, elapsed)
     (row2, j), (row1, i) = (divmod(row, len(reps)) for row in hit)
     vecs = vs.vectors
     cycle = _rebuild(
@@ -435,7 +441,7 @@ def meet_in_middle(
         [vecs[reps[i]]] + [vecs[k] for k in _unrank(nv, h1 - 1, row1)],
         [vecs[reps[j]]] + [vecs[k] for k in _unrank(nv, h2 - 1, row2)],
     )
-    return SearchOutcome(vs.t, n, cycle, False, nodes, time.perf_counter() - start)
+    return SearchOutcome(vs.t, n, cycle, nodes, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +482,7 @@ def modified_five_cycle(t: int) -> SearchOutcome:
     vs = vector_set(t)
     nv = len(vs.vectors)
     if nv == 0:
-        return SearchOutcome(t, 5, None, True, 0, time.perf_counter() - start)
+        return SearchOutcome(t, 5, None, 0, time.perf_counter() - start)
 
     base = _key_base(vs, 3)
     keys = _keys(vs.vectors, base)
@@ -496,7 +502,7 @@ def modified_five_cycle(t: int) -> SearchOutcome:
 
     elapsed = time.perf_counter() - start
     if hit is None:
-        return SearchOutcome(t, 5, None, True, nodes, elapsed)
+        return SearchOutcome(t, 5, None, nodes, elapsed)
     (ti, k), (m, i) = divmod(hit[0], nv), divmod(hit[1], len(reps))
     vecs = vs.vectors
     cycle = _rebuild(
@@ -504,7 +510,7 @@ def modified_five_cycle(t: int) -> SearchOutcome:
         [vecs[reps[i]], vecs[m]],
         [vecs[k], *_closing_pair(t, tlist[ti])],
     )
-    return SearchOutcome(t, 5, cycle, False, nodes, time.perf_counter() - start)
+    return SearchOutcome(t, 5, cycle, nodes, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -517,35 +523,37 @@ class MinOddCycle:
     t: int
     n: Optional[int]
     certificate: Optional[OddCycle]
-    unresolved: bool = False
-    outcomes: tuple[SearchOutcome, ...] = field(default=())
+    outcomes: tuple[SearchOutcome, ...]
+
+    @property
+    def unresolved(self) -> bool:
+        return self.n is None
 
 
-def min_odd_cycle(t: int, n_max: int = DEFAULT_N_MAX) -> MinOddCycle:
+def min_odd_cycle(t: int) -> MinOddCycle:
     """Minimum odd cycle length for t in class T, with certificate.
 
     T membership puts the floor at 5, so meet_in_middle exhausts odd
-    lengths from 5 up until a cycle appears or n_max is passed
+    lengths from 5 up until a cycle appears or N_MAX is passed
     (unresolved).  V(t) is built once.  A length whose left side exceeds
-    the memory budget also ends the ladder unresolved; its outcome has
+    MEMORY_BUDGET also ends the ladder unresolved; its outcome has
     budget_exceeded set.
     """
     if classify(t) is not STClass.T:
         raise ValueError(f"min_odd_cycle requires t in class T, got {t}")
     vs = vector_set(t)
     outcomes: list[SearchOutcome] = []
-    for n in range(5, n_max + 1, 2):
+    for n in range(5, N_MAX + 1, 2):
         start = time.perf_counter()
         try:
             out = meet_in_middle(vs, n)
         except SearchMemoryError:
             elapsed = time.perf_counter() - start
             outcomes.append(
-                SearchOutcome(t, n, None, False, 0, elapsed, budget_exceeded=True)
+                SearchOutcome(t, n, None, 0, elapsed, budget_exceeded=True)
             )
             break
         outcomes.append(out)
         if out.found is not None:
-            return MinOddCycle(t, n, out.found, outcomes=tuple(outcomes))
-        assert out.exhausted
-    return MinOddCycle(t, None, None, unresolved=True, outcomes=tuple(outcomes))
+            return MinOddCycle(t, n, out.found, tuple(outcomes))
+    return MinOddCycle(t, None, None, tuple(outcomes))

@@ -31,7 +31,7 @@ import numpy as np
 import sympy
 
 MAX_CHECKPOINT = 10**8
-DEFAULT_BLOCK = 1 << 19  # odd u values per sieve block
+BLOCK = 1 << 19  # odd u values per sieve block
 
 CSV_HEADER = "n,t_count,g_exact_num,g_exact_den,g_decimal"
 
@@ -90,11 +90,7 @@ def _sieve_block(u_lo: int, u_hi: int, primes: Sequence[int]) -> np.ndarray:
     return is_t
 
 
-def density_table(
-    checkpoints: Sequence[int],
-    workers: int = 1,
-    block: int = DEFAULT_BLOCK,
-) -> list[DensityRow]:
+def density_table(checkpoints: Sequence[int], workers: int = 1) -> list[DensityRow]:
     """One row per checkpoint n: |T_n| and g(n) = |T_n| / |(S u T)_n|."""
     if not checkpoints:
         return []
@@ -109,7 +105,7 @@ def density_table(
     umax = cps[-1] // 2
     primes = list(sympy.primerange(3, isqrt(umax) + 1))
     blocks = [
-        (lo, min(lo + 2 * block, umax + 1)) for lo in range(1, umax + 1, 2 * block)
+        (lo, min(lo + 2 * BLOCK, umax + 1)) for lo in range(1, umax + 1, 2 * BLOCK)
     ]
 
     rows: list[DensityRow] = []
@@ -120,15 +116,17 @@ def density_table(
         run = pool.map if workers > 1 else map
         results = run(lambda b: _sieve_block(*b, primes), blocks)
         for (lo, hi), is_t in zip(blocks, results):
+            # each stretch of the block between checkpoints is counted once
+            done = 0
             while cp_idx < len(cps) and cps[cp_idx] // 2 < hi:
-                u_limit = cps[cp_idx] // 2
-                k = (u_limit - lo) // 2 + 1 if u_limit >= lo else 0
-                count = t_total + int(is_t[:k].sum())
                 n = cps[cp_idx]
+                k = (n // 2 - lo) // 2 + 1
+                t_total += int(np.count_nonzero(is_t[done:k]))
+                done = k
                 denom = (n + 2) // 4
-                rows.append(DensityRow(n=n, t_count=count, g=Fraction(count, denom)))
+                rows.append(DensityRow(n=n, t_count=t_total, g=Fraction(t_total, denom)))
                 cp_idx += 1
-            t_total += int(is_t.sum())
+            t_total += int(np.count_nonzero(is_t[done:]))
     return rows
 
 

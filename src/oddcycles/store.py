@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .resolver import NONEXISTENT_REASONS, Reason
+from .resolver import NONEXISTENT_REASONS, CmResult, Reason
 from .search import OddCycle, verify_cycle
 
 SCHEMA_VERSION = 1
@@ -85,6 +85,27 @@ class ResultRecord:
             raise ValueError(
                 f"certificate length {len(self.certificate)} != value {self.value}"
             )
+
+    @staticmethod
+    def from_result(res: CmResult, elapsed_ms: int, shard_id: int) -> "ResultRecord":
+        """The schema-v1 record of one compute_C result."""
+        cert = None if res.certificate is None else tuple(res.certificate.vectors)
+        # "modified+meet-in-middle" is schema v1's label for a searched value
+        algorithm = (
+            "modified+meet-in-middle" if res.reason is Reason.SEARCHED else "closed-form"
+        )
+        return ResultRecord(
+            t=res.r,
+            m=res.m,
+            value=res.value,
+            reason=res.reason.value,
+            certificate=cert,
+            algorithm=algorithm,
+            elapsed_ms=elapsed_ms,
+            nodes_examined=res.nodes_examined,
+            shard_id=shard_id,
+            worker_count=1,  # schema v1 field; searches run in one thread
+        )
 
     @staticmethod
     def from_json(line: str) -> "ResultRecord":

@@ -29,8 +29,9 @@ class TestResolve:
         assert code == 0
         assert "C_3(9) = 0" in out
 
-    def test_unresolved_exit_code(self, capsys):
-        code, out, _ = run(capsys, "c", "3", "58", "--n-max", "9")
+    def test_unresolved_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(search, "N_MAX", 9)  # C_3(58) = 11
+        code, out, _ = run(capsys, "c", "3", "58")
         assert code == 3
         assert "unresolved" in out
 
@@ -109,18 +110,10 @@ class TestSearch:
         assert "exhausted: True" in out and "cycle: none" in out
 
     def test_brute_refused_over_budget(self, capsys):
-        code, _, err = run(
-            capsys, "search", "1002", "--algo", "brute", "--length", "9",
-            "--budget", "1000",
-        )
-        assert code == 2
-        assert "refusing brute force" in err
-
-    def test_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ODDCYCLES_BUDGET", "1000")
+        # C(200, 9) ~ 2.5e13 multisets of |V(1002)| = 192 vectors
         code, _, err = run(capsys, "search", "1002", "--algo", "brute", "--length", "9")
         assert code == 2
-        assert "refusing" in err
+        assert "refusing brute force" in err
 
 
 class TestTableAndDensity:
@@ -134,10 +127,10 @@ class TestTableAndDensity:
         assert "22,9" in lines
         assert len(lines) == 1 + len(range(2, 100, 4))
 
-    def test_table_unresolved_exit(self, capsys, tmp_path):
+    def test_table_unresolved_exit(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(search, "N_MAX", 7)  # C_3(22) = 9
         out_path = tmp_path / "chart.csv"
-        code, _, err = run(capsys, "table", "--max", "30", "--n-max", "7",
-                           "--out", str(out_path))
+        code, _, err = run(capsys, "table", "--max", "30", "--out", str(out_path))
         assert code == 3
         assert "search unresolved at n=22" in err
         assert not out_path.exists()
@@ -235,11 +228,12 @@ class TestVerifyRunMerge:
         assert code == 4
         assert err.startswith(f"{bad}:1: ") and message in err
 
-    def test_merge_conflict_exit(self, capsys, tmp_path):
+    def test_merge_conflict_exit(self, capsys, tmp_path, monkeypatch):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
         run(capsys, "run", "--range", "22..22", "--out", str(a))
-        run(capsys, "run", "--range", "22..22", "--n-max", "7", "--out", str(b))
+        monkeypatch.setattr(search, "N_MAX", 7)  # b holds C_3(22) unresolved
+        run(capsys, "run", "--range", "22..22", "--out", str(b))
         out_path = tmp_path / "m.jsonl"
         code, _, err = run(capsys, "merge", str(a), str(b), "--out", str(out_path))
         assert code == 4

@@ -19,3 +19,18 @@ def test_sharded_run_from_source_checkout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "merged 25 records" in proc.stdout
     assert "25 records verified" in proc.stdout
+
+
+def test_build_chart_from_source_checkout(tmp_path):
+    out = tmp_path / "chart.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "build_chart.py"),
+         "--max", "200", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"50 entries written to {out}" in proc.stdout
+    assert "entries with C_3 > 5: 6" in proc.stdout
+    assert "C_3(58) = 11" in proc.stdout
+    assert len(out.read_text().splitlines()) == 1 + 50

@@ -1,7 +1,11 @@
 """Engine behavior: verification, exhaustion, agreement, special-form search."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,8 @@ from oddcycles.search import (
     verify_cycle,
 )
 from oddcycles.vectors import VectorSet, vector_set
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Known certificates (t = 22 nine-cycle, t = 82 seven-cycle).
 NINE_CYCLE_22 = [
@@ -72,6 +78,21 @@ class TestVerifyCycle:
             OddCycle.from_vectors(3, [(1, 1, 0), (0, -1, -1), (-1, 0, 1)])
         )
         assert not diag.valid
+
+    def test_forged_outcome_rejected_under_optimize(self):
+        # python -O strips asserts; the certificate check must still run
+        code = (
+            "from oddcycles.search import OddCycle, SearchOutcome\n"
+            "SearchOutcome(t=2, length_tried=3, found=OddCycle(2, ((1, 1, 0),) * 3),"
+            " nodes_examined=0, elapsed=0.0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "invalid cycle" in proc.stderr
 
 
 class TestBruteForce:
@@ -169,18 +190,21 @@ class TestMeetInMiddle:
         assert meet_in_middle(vs, 7).found is None
         assert meet_in_middle(vs, 9).found is not None
 
-    def test_memory_budget_error(self):
+    def test_memory_budget_error(self, monkeypatch):
+        monkeypatch.setattr(search, "MEMORY_BUDGET", 1000)
         with pytest.raises(SearchMemoryError):
-            meet_in_middle(vector_set(1002), 9, memory_budget=1000)
+            meet_in_middle(vector_set(1002), 9)
 
-    def test_budget_counts_quotient_left_keys(self):
+    def test_budget_counts_quotient_left_keys(self, monkeypatch):
         # n = 5: the left side is canon(r + v), |R| * |V| keys before dedupe
         vs = vector_set(1002)
         size = 4 * 192
         assert len(_representatives(vs)) == 4
-        assert meet_in_middle(vs, 5, memory_budget=size).nodes_examined >= size
+        monkeypatch.setattr(search, "MEMORY_BUDGET", size)
+        assert meet_in_middle(vs, 5).nodes_examined >= size
+        monkeypatch.setattr(search, "MEMORY_BUDGET", size - 1)
         with pytest.raises(SearchMemoryError):
-            meet_in_middle(vs, 5, memory_budget=size - 1)
+            meet_in_middle(vs, 5)
 
 
 class TestModifiedFiveCycle:
@@ -247,9 +271,13 @@ class TestMinOddCycle:
         with pytest.raises(ValueError):
             min_odd_cycle(18)
 
-    def test_unresolved_below_ceiling(self):
-        res = min_odd_cycle(58, n_max=9)
+    def test_unresolved_below_ceiling(self, monkeypatch):
+        monkeypatch.setattr(search, "N_MAX", 9)  # C_3(58) = 11
+        res = min_odd_cycle(58)
         assert res.unresolved and res.n is None
+        assert [(o.length_tried, o.exhausted) for o in res.outcomes] == [
+            (5, True), (7, True), (9, True),
+        ]
 
     def test_memory_error_ends_ladder_unresolved(self, monkeypatch):
         def over_budget(vs, n):

@@ -98,14 +98,16 @@ class TestSieveBlock:
         blocks = [(lo, lo + span) for lo in starts for span in spans]
         assert_blocks_agree([(lo, min(hi, UMAX + 1)) for lo, hi in blocks])
 
-    def test_every_block_at_block_size_4096(self):
+    def test_every_block_at_block_size_4096(self, monkeypatch):
         umax, block = 3 * 10**5 + 17, 1 << 12
         primes = list(sympy.primerange(3, isqrt(umax) + 1))
         blocks = [
             (lo, min(lo + 2 * block, umax + 1)) for lo in range(1, umax + 1, 2 * block)
         ]
         assert_blocks_agree(blocks, primes)
-        assert density_table([2 * umax], block=block) == density_table([2 * umax])
+        whole = density_table([2 * umax])
+        monkeypatch.setattr(stats, "BLOCK", block)
+        assert density_table([2 * umax]) == whole
 
 
 class TestDensityTable:
@@ -134,7 +136,7 @@ class TestDensityTable:
         direct = sum(1 for t in range(2, 10**4 + 1, 4) if classify(t) is STClass.T)
         assert rows[0].t_count == direct
 
-    def test_cumulative_counts_match_classify_at_every_n(self):
+    def test_cumulative_counts_match_classify_at_every_n(self, monkeypatch):
         limit = 2 * 10**4
         rows = density_table(list(range(2, limit + 1)))
         count, want = 0, []
@@ -142,6 +144,8 @@ class TestDensityTable:
             count += n % 4 == 2 and classify(n) is STClass.T
             want.append(count)
         assert [r.t_count for r in rows] == want
+        monkeypatch.setattr(stats, "BLOCK", 1 << 8)  # checkpoints across 20 blocks
+        assert density_table(list(range(2, limit + 1))) == rows
 
     def test_agrees_with_triple_rule(self):
         # second independent classifier: S iff some a^2+b^2+c^2 = t has a+b = c
@@ -154,9 +158,10 @@ class TestDensityTable:
         )
         assert rows[0].t_count == via_triples
 
-    def test_parallel_matches_sequential(self):
+    def test_parallel_matches_sequential(self, monkeypatch):
         seq = density_table([10**5])
-        par = density_table([10**5], workers=4, block=1 << 12)
+        monkeypatch.setattr(stats, "BLOCK", 1 << 12)
+        par = density_table([10**5], workers=4)
         assert seq == par
 
     def test_failing_block_shuts_the_pool_down(self, monkeypatch):
@@ -164,9 +169,10 @@ class TestDensityTable:
             raise RuntimeError("block failed")
 
         monkeypatch.setattr(stats, "_sieve_block", fail)
+        monkeypatch.setattr(stats, "BLOCK", 1 << 12)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="block failed"):
-            density_table([10**5], workers=2, block=1 << 12)
+            density_table([10**5], workers=2)
         assert set(threading.enumerate()) <= before
 
     def test_rejects_unsorted(self):

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from oddcycles import search
+from oddcycles.resolver import Reason, compute_C
 from oddcycles.store import (
     RecordValidationError,
     ResultRecord,
@@ -78,6 +80,34 @@ class TestRoundTrip:
         append(path, record_triangle(2, TRIANGLE_2))
         recs = load(path)
         assert recs == [record_22(), record_triangle(2, TRIANGLE_2)]
+
+
+class TestFromResult:
+    @pytest.mark.parametrize("m,r,reason", [
+        (3, 9, Reason.ODD_R),
+        (1, 4, Reason.DIM1),
+        (2, 50, Reason.DIM2),
+        (6, 12, Reason.K4_CONSTRUCTION),
+        (3, 18, Reason.TRIANGLE),
+        (3, 22, Reason.SEARCHED),
+        (3, 58, Reason.UNRESOLVED),
+    ])
+    def test_each_reason_maps_to_a_valid_record(self, m, r, reason, monkeypatch):
+        monkeypatch.setattr(search, "N_MAX", 9)  # C_3(58) = 11 is then unresolved
+        res = compute_C(m, r)
+        assert res.reason is reason
+        rec = ResultRecord.from_result(res, elapsed_ms=17, shard_id=2)
+        rec.validate()
+        assert ResultRecord.from_json(rec.to_json()) == rec
+        assert (rec.m, rec.t, rec.value, rec.reason) == (m, r, res.value, reason.value)
+        assert (rec.elapsed_ms, rec.shard_id, rec.worker_count) == (17, 2, 1)
+        assert rec.nodes_examined == res.nodes_examined
+        if res.certificate is None:
+            assert rec.certificate is None
+        else:
+            assert rec.certificate == res.certificate.vectors
+        searched = reason is Reason.SEARCHED
+        assert rec.algorithm == ("modified+meet-in-middle" if searched else "closed-form")
 
 
 class TestValidation:
