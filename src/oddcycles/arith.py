@@ -9,7 +9,6 @@ enumerate_triples, is corrected to the exact integer root.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
@@ -38,19 +37,6 @@ class STClass(enum.Enum):
     T = "T"
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as a tuple of (prime, exponent), primes increasing."""
-
-    prime_powers: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        out = 1
-        for p, e in self.prime_powers:
-            out *= p**e
-        return out
-
-
 def _check_positive(n: int, name: str = "n") -> None:
     if n < 1:
         raise ValueError(f"{name} must be a positive integer, got {n}")
@@ -58,13 +44,10 @@ def _check_positive(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} exceeds 63-bit range: {n}")
 
 
-def factorize(n: int) -> Factorization:
-    """Factor a positive 63-bit integer."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor a positive 63-bit integer into (prime, exponent), primes increasing."""
     _check_positive(n)
-    if n == 1:
-        return Factorization(())
-    fac = sympy.factorint(n)
-    return Factorization(tuple(sorted(fac.items())))
+    return tuple(sorted(sympy.factorint(n).items()))
 
 
 def classify(t: int) -> STClass:
@@ -76,7 +59,7 @@ def classify(t: int) -> STClass:
     _check_positive(t, "t")
     if t % 4 != 2:
         raise ValueError(f"classify requires t = 2 (mod 4), got {t}")
-    for p, e in factorize(t).prime_powers:
+    for p, e in factorize(t):
         if p != 2 and e % 2 == 1 and p % 3 == 2:
             return STClass.T
     return STClass.S

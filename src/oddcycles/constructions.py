@@ -1,16 +1,17 @@
 """Closed-form cycle builders.
 
-Equilateral-triangle 3-cycles for class S, the K4 point set that settles
-every even r in dimension >= 4, and two 5-cycle template families driven
-by binary quadratic forms.
+Equilateral-triangle 3-cycles for class S, solved directly from
+x^2 + xy + y^2 = t/2; the K4 point set that settles every even r in
+dimension >= 4; and two 5-cycle template families driven by binary
+quadratic forms.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import ceil, isqrt
-from typing import Callable, Optional
+from math import isqrt
+from typing import Callable
 
 from .arith import STClass, classify, four_square_decomposition
 from .search import OddCycle, verify_cycle
@@ -31,10 +32,6 @@ class QuadraticForm:
 
     def __call__(self, x: int, y: int) -> int:
         return self.a * x * x + self.b * x * y + self.c * y * y
-
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.a > 0 and 4 * self.a * self.c - self.b * self.b > 0
 
 
 class ParamId(enum.Enum):
@@ -88,41 +85,27 @@ def _check_templates() -> None:
 _check_templates()
 
 
-def form_represents(f: QuadraticForm, t: int) -> Optional[tuple[int, int]]:
-    """Least (x, |y|) with x >= 0 and F(x, y) = t (positive y first), else None.
-
-    The smaller eigenvalue of the form matrix bounds |x|, |y| by
-    sqrt(t / lambda_min), so the scan region is complete.
-    """
-    if not f.is_positive_definite:
-        raise ValueError(f"form {f} is not positive definite")
-    if t < 1:
-        raise ValueError(f"t must be positive, got {t}")
-    # lambda_min = (a + c - sqrt((a-c)^2 + b^2)) / 2, computed conservatively
-    disc = (f.a - f.c) ** 2 + f.b * f.b
-    lam_twice = f.a + f.c - isqrt(disc) - 1  # lower bound on 2*lambda_min
-    if lam_twice <= 0:
-        lam_twice = 1
-    bound = ceil(isqrt(2 * t // lam_twice)) + 2
-    for x in range(0, bound + 1):
-        for ay in range(0, bound + 1):
-            for y in ((ay, -ay) if ay else (0,)):
-                if f(x, y) == t:
-                    return (x, y)
-    return None
-
-
 def triangle_cycle(s: int) -> OddCycle:
-    """Verified 3-cycle (equilateral triangle edge vectors) for s in class S."""
+    """Verified 3-cycle (equilateral triangle edge vectors) for s in class S.
+
+    The edge vectors have squared length 2(x^2 + xy + y^2), and
+    x^2 + xy + y^2 = s/2 is (2y + x)^2 = 2s - 3x^2.  The pair taken is the
+    least x >= 0, then the root y of least |y|, positive first: with
+    r = isqrt(2s - 3x^2) that is y = (r - x)/2, an integer because
+    s = 2 (mod 4) gives r = x (mod 2).
+    """
     if classify(s) is not STClass.S:
         raise ValueError(f"triangle_cycle requires s in class S, got {s}")
-    rep = form_represents(FORMS[ParamId.TRIANGLE], s)
-    if rep is None:
-        raise ConstructionError(
-            f"no (a, b) with 2a^2+2ab+2b^2 = {s}; contradicts the S characterization"
-        )
-    cycle = param_cycle(ParamId.TRIANGLE, *rep)
-    return cycle
+    x = 0
+    while 3 * x * x <= 2 * s:
+        d = 2 * s - 3 * x * x
+        r = isqrt(d)
+        if r * r == d:
+            return param_cycle(ParamId.TRIANGLE, x, (r - x) // 2)
+        x += 1
+    raise ConstructionError(
+        f"no (a, b) with 2a^2+2ab+2b^2 = {s}; contradicts the S characterization"
+    )
 
 
 def param_cycle(p: ParamId, x: int, y: int) -> OddCycle:

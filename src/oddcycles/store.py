@@ -133,18 +133,19 @@ def append(path: Path | str, record: ResultRecord) -> None:
 def load(path: Path | str) -> list[ResultRecord]:
     """Load and validate every record; any bad line rejects the whole file."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return _parse(path, fh)
 
 
-def _parse(path: Path, lines: Iterable[str]) -> list[ResultRecord]:
+def _parse(path: Path, lines: Iterable[bytes]) -> list[ResultRecord]:
     records: list[ResultRecord] = []
     seen: dict[tuple[int, int], ResultRecord] = {}
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for line_no, raw in enumerate(lines, start=1):
         try:
+            # UnicodeDecodeError is a ValueError: a non-UTF-8 line is a bad line
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
             rec = ResultRecord.from_json(line)
             rec.validate()
             key = (rec.m, rec.t)
@@ -179,7 +180,7 @@ def drop_torn_tail(path: Path | str) -> Optional[str]:
     if not data or data.endswith(b"\n"):
         return None
     cut = data.rfind(b"\n") + 1
-    _parse(path, data[:cut].decode("utf-8").split("\n"))
+    _parse(path, data[:cut].split(b"\n"))
     with open(path, "r+b") as fh:
         fh.truncate(cut)
     return data[cut:].decode("utf-8", errors="replace")

@@ -228,6 +228,24 @@ class TestVerifyRunMerge:
         assert code == 4
         assert err.startswith(f"{bad}:1: ") and message in err
 
+    @pytest.mark.parametrize("command", ["verify", "merge", "run"])
+    def test_non_utf8_line(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.jsonl"
+        run(capsys, "run", "--range", "2..10", "--out", str(bad))
+        data = bad.read_bytes() + b"\xff\xfe bad\n"
+        bad.write_bytes(data)
+        out_path = tmp_path / "m.jsonl"
+        argv = {
+            "verify": ["verify", "--in", str(bad)],
+            "merge": ["merge", str(bad), "--out", str(out_path)],
+            "run": ["run", "--range", "2..30", "--out", str(bad)],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert err.startswith(f"{bad}:4: ") and "utf-8" in err
+        assert bad.read_bytes() == data
+        assert not out_path.exists()
+
     def test_merge_conflict_exit(self, capsys, tmp_path, monkeypatch):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"

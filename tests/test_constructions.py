@@ -1,17 +1,19 @@
 """Closed-form builders: triangles, K4 points, template families, forms."""
 
 import random
+from math import ceil, isqrt
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddcycles import constructions
 from oddcycles.arith import STClass, Triple, classify, enumerate_triples
 from oddcycles.constructions import (
     FORMS,
     ParamId,
     QuadraticForm,
-    form_represents,
     k4_points,
     k4_triangle,
     param_cycle,
@@ -30,6 +32,30 @@ def triangle_witness_via_triples(s: int) -> Triple | None:
     return None
 
 
+def form_represents(f: QuadraticForm, t: int) -> Optional[tuple[int, int]]:
+    """Least (x, |y|) with x >= 0 and F(x, y) = t (positive y first), else None.
+
+    The smaller eigenvalue of the form matrix bounds |x|, |y| by
+    sqrt(t / lambda_min), so the scan region is complete.
+    """
+    if not (f.a > 0 and 4 * f.a * f.c - f.b * f.b > 0):
+        raise ValueError(f"form {f} is not positive definite")
+    if t < 1:
+        raise ValueError(f"t must be positive, got {t}")
+    # lambda_min = (a + c - sqrt((a-c)^2 + b^2)) / 2, computed conservatively
+    disc = (f.a - f.c) ** 2 + f.b * f.b
+    lam_twice = f.a + f.c - isqrt(disc) - 1  # lower bound on 2*lambda_min
+    if lam_twice <= 0:
+        lam_twice = 1
+    bound = ceil(isqrt(2 * t // lam_twice)) + 2
+    for x in range(0, bound + 1):
+        for ay in range(0, bound + 1):
+            for y in ((ay, -ay) if ay else (0,)):
+                if f(x, y) == t:
+                    return (x, y)
+    return None
+
+
 class TestTriangleCycle:
     def test_smallest_case(self):
         cycle = triangle_cycle(2)
@@ -45,6 +71,31 @@ class TestTriangleCycle:
     def test_rejects_class_t(self):
         with pytest.raises(ValueError):
             triangle_cycle(10)
+
+    def test_pair_matches_form_oracle(self, monkeypatch):
+        # The (x, y) that triangle_cycle passes to param_cycle is the pair
+        # the generic form search returns: least x, then least |y|, y > 0 first.
+        pairs = []
+
+        def spy(p, x, y):
+            pairs.append((x, y))
+            return param_cycle(p, x, y)
+
+        monkeypatch.setattr(constructions, "param_cycle", spy)
+        s_values = [t for t in range(2, 20000, 4) if classify(t) is STClass.S]
+        near_million = random.Random(31).sample(range(900002, 10**6, 4), 40)
+        s_values += [t for t in near_million if classify(t) is STClass.S][:5]
+        for s in s_values:
+            rep = form_represents(FORMS[ParamId.TRIANGLE], s)
+            cycle = triangle_cycle(s)
+            assert pairs.pop() == rep, s
+            assert cycle == param_cycle(ParamId.TRIANGLE, *rep), s
+        for t in range(2, 4000, 4):
+            if classify(t) is STClass.T:
+                assert form_represents(FORMS[ParamId.TRIANGLE], t) is None, t
+                with pytest.raises(ValueError):
+                    triangle_cycle(t)
+        assert not pairs
 
     def test_witness_rule_matches_classification(self):
         # Independent S test: s = a^2+b^2+c^2 with a+b = c (up to signs).

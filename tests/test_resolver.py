@@ -5,6 +5,7 @@ import random
 import pytest
 
 from oddcycles import search
+from oddcycles.arith import STClass, classify
 from oddcycles.resolver import Reason, compute_C
 from oddcycles.search import verify_cycle
 
@@ -73,3 +74,33 @@ class TestComputeC:
         res = compute_C(3, 58)
         assert res.reason is Reason.UNRESOLVED and res.value is None
 
+
+
+def seeded_sample(cls: STClass, lo: int, hi: int, count: int, rng: random.Random) -> list[int]:
+    """One seeded t = 2 (mod 4) of class cls in each of count log strata of (lo, hi)."""
+    out = []
+    for i in range(count):
+        a = int(lo * (hi / lo) ** (i / count))
+        b = int(lo * (hi / lo) ** ((i + 1) / count))
+        while True:
+            t = rng.randrange(a + (2 - a) % 4, b, 4)
+            if t > lo and classify(t) is cls:
+                out.append(t)
+                break
+    return out
+
+
+class TestRangeGuard:
+    """Seeded guard on C_3 up to 10^6: every class-T t above 1978 gives 5."""
+
+    def test_class_t_log_strata_resolve_to_five(self):
+        for t in seeded_sample(STClass.T, 1978, 10**6, 30, random.Random(1978)):
+            res = compute_C(3, t)
+            assert (res.value, res.reason) == (5, Reason.SEARCHED), t
+            assert verify_cycle(res.certificate).valid, t
+
+    def test_class_s_near_million_are_triangles(self):
+        for t in seeded_sample(STClass.S, 900000, 10**6, 10, random.Random(3)):
+            res = compute_C(3, t)
+            assert (res.value, res.reason) == (3, Reason.TRIANGLE), t
+            assert verify_cycle(res.certificate).valid, t
