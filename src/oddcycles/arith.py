@@ -4,16 +4,26 @@ Factorization, three- and four-square decompositions, and the S/T
 classifier for integers congruent to 2 mod 4.  Everything here is exact
 integer arithmetic; the one floating-point square root, in
 enumerate_triples, is corrected to the exact integer root.
+
+factorize works in three stages on a 63-bit input:
+
+- trial division by 2 and by the odd primes below 1024; a cofactor left
+  below 1024^2 then has no factor to split and is 1 or prime;
+- a Miller-Rabin test with the twelve prime bases 2, 3, ..., 37, which is
+  deterministic for n < 3.3 * 10^24 and so exact here;
+- Pollard's rho (Pollard 1975) with Brent's cycle finding and batched
+  gcds (Brent 1980) on each composite cofactor, which takes about
+  sqrt(p) steps to split off its least prime factor p.
 """
 
 from __future__ import annotations
 
 import enum
-from math import isqrt
+from collections import Counter
+from math import gcd, isqrt
 from typing import NamedTuple
 
 import numpy as np
-import sympy
 
 # Inputs whose intermediate squares could leave 64-bit signed range are
 # rejected up front rather than silently promoted to bignums.
@@ -44,10 +54,95 @@ def _check_positive(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} exceeds 63-bit range: {n}")
 
 
+_TRIAL_LIMIT = 1024
+_TRIAL_PRIMES = tuple(
+    p for p in range(3, _TRIAL_LIMIT, 2) if all(p % d for d in range(3, isqrt(p) + 1, 2))
+)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor a positive 63-bit integer into (prime, exponent), primes increasing."""
     _check_positive(n)
-    return tuple(sorted(sympy.factorint(n).items()))
+    factors: Counter[int] = Counter()
+    twos = (n & -n).bit_length() - 1
+    if twos:
+        factors[2] = twos
+        n >>= twos
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            factors[p] += 1
+    # a cofactor with no prime factor below the limit is prime below its square
+    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        if n > 1:
+            factors[n] += 1
+    else:
+        _split(n, factors)
+    return tuple(sorted(factors.items()))
+
+
+def _split(n: int, factors: Counter[int]) -> None:
+    """Add the prime factors of odd n > 1 to ``factors``."""
+    if _is_prime(n):
+        factors[n] += 1
+        return
+    d = _rho(n)
+    _split(d, factors)
+    _split(n // d, factors)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases up to 37: exact for odd n > 37
+    below 3.3 * 10^24."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A nontrivial factor of the odd composite n: Pollard's rho on
+    x -> x^2 + c with Brent's cycle finding, the differences multiplied
+    together and tested by one gcd per batch of 128 steps."""
+    batch = 128
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: step through it again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def classify(t: int) -> STClass:

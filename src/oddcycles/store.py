@@ -57,6 +57,13 @@ class ResultRecord:
         return json.dumps(data, separators=(",", ":"))
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            x = getattr(self, name)
+            if not _is_int(x) and not (name == "value" and x is None):
+                raise ValueError(f"{name} must be an integer, got {x!r}")
+        for x in (x for v in self.certificate or () for x in v):
+            if not _is_int(x):
+                raise ValueError(f"certificate entry must be an integer, got {x!r}")
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(f"schema_version {self.schema_version} unsupported")
         try:
@@ -114,12 +121,21 @@ class ResultRecord:
             raise ValueError("record is not a JSON object")
         cert = data.get("certificate")
         if cert is not None:
-            cert = tuple(tuple(int(x) for x in v) for v in cert)
+            cert = tuple(tuple(v) for v in cert)
         values = {k: data[k] for k in _KEY_ORDER if k != "certificate"}
         return ResultRecord(certificate=cert, **values)
 
 
 _KEY_ORDER = tuple(f.name for f in fields(ResultRecord))
+_INT_FIELDS = (
+    "schema_version", "t", "m", "value", "elapsed_ms", "nodes_examined", "shard_id",
+    "worker_count",
+)
+
+
+def _is_int(x: object) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def append(path: Path | str, record: ResultRecord) -> None:

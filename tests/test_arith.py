@@ -1,13 +1,16 @@
 """Arithmetic foundations, checked against independent brute-force oracles."""
 
+import random
 from math import isqrt, prod
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddcycles.arith import (
+    MAX_INPUT,
     STClass,
     Triple,
     classify,
@@ -82,6 +85,40 @@ class TestFactorize:
         assert prod(p**e for p, e in factorize(n)) == n
 
 
+def sympy_factors(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(sympy.factorint(n).items()))
+
+
+P31 = sympy.prevprime(2**31)  # 2^31 - 1
+Q31 = sympy.prevprime(P31)
+R31 = sympy.prevprime(Q31)
+P_TOP = sympy.prevprime(isqrt(MAX_INPUT))  # the largest prime whose square fits
+
+
+class TestFactorizeAgainstSympy:
+    def test_seeded_values_of_every_bit_length(self):
+        rng = random.Random(20261018)
+        for bits in range(1, 64):
+            for _ in range(20):
+                n = rng.randrange(1 << (bits - 1), min(1 << bits, MAX_INPUT + 1))
+                assert factorize(n) == sympy_factors(n), n
+
+    @pytest.mark.parametrize("n", [
+        P31 * Q31, Q31 * R31, P31 * R31,  # two primes just below 2^31
+        P31 * P31, P_TOP * P_TOP, sympy.prevprime(P_TOP) ** 2,  # prime squares
+        sympy.prevprime(2**21) ** 3,  # a prime cube
+        3825123056546413051,  # a strong pseudoprime to every prime base up to 31
+        2**63 - 1,
+        MAX_INPUT - 24,  # 2^63 - 25 is prime
+    ])
+    def test_hard_inputs(self, n):
+        assert factorize(n) == sympy_factors(n)
+
+    def test_rejects_past_63_bits(self):
+        with pytest.raises(ValueError, match="63-bit"):
+            factorize(MAX_INPUT + 1)
+
+
 class TestSquarefreePart:
     @pytest.mark.parametrize("n,expected", [(1, 1), (18, 2), (90, 10)])
     def test_known_values(self, n, expected):
@@ -117,6 +154,31 @@ class TestClassify:
                 p % 3 == 2 for p, _ in factorize(sf) if p != 2
             )
             assert (classify(t) is STClass.T) == direct, t
+
+
+def prime_near_2_30(residue: int, below: int = 2**30) -> int:
+    """The largest prime below ``below`` that is = residue (mod 3)."""
+    p = sympy.prevprime(below)
+    while p % 3 != residue:
+        p = sympy.prevprime(p)
+    return p
+
+
+# t = 2pq with p, q near 2^30: T exactly when p or q is = 2 (mod 3).  With
+# both = 2, pq = 1 (mod 3), so a test of the cofactor mod 3 would say S.
+LARGE_PAIRS = [
+    pytest.param(prime_near_2_30(2), prime_near_2_30(1), "T", id="one_2_mod_3"),
+    pytest.param(prime_near_2_30(1), prime_near_2_30(1, prime_near_2_30(1)), "S",
+                 id="both_1_mod_3"),
+    pytest.param(prime_near_2_30(2), prime_near_2_30(2, prime_near_2_30(2)), "T",
+                 id="both_2_mod_3"),
+    pytest.param(prime_near_2_30(2), prime_near_2_30(2), "S", id="square_2_mod_3"),
+]
+
+
+@pytest.mark.parametrize("p,q,expected", LARGE_PAIRS)
+def test_classify_two_large_primes(p, q, expected):
+    assert classify(2 * p * q) is STClass(expected)
 
 
 class TestReduceMod4:

@@ -1,8 +1,13 @@
 """End-to-end CLI behavior through main(), including exit codes."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from test_arith import LARGE_PAIRS
 
 from oddcycles import search
 from oddcycles.cli import main
@@ -79,6 +84,12 @@ class TestSmallCommands:
     def test_classify(self, capsys):
         assert run(capsys, "classify", "22")[1].strip() == "T"
         assert run(capsys, "classify", "18")[1].strip() == "S"
+
+    @pytest.mark.parametrize("p,q,expected", LARGE_PAIRS)
+    def test_classify_two_large_primes(self, capsys, p, q, expected):
+        code, out, _ = run(capsys, "classify", str(2 * p * q))
+        assert code == 0
+        assert out.strip() == expected
 
     def test_decompose(self, capsys):
         code, out, err = run(capsys, "decompose", "22")
@@ -246,6 +257,33 @@ class TestVerifyRunMerge:
         assert bad.read_bytes() == data
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("line_no,old,new", [
+        (3, "[-3,-1,0]", '[-3,"-1",0]'),  # a certificate entry as a string
+        (3, "[0,1,3]", "[0,1.4,3]"),  # a fractional certificate entry
+        (1, '"t":2,', '"t":2.0,'),  # an integer field as a float
+        (2, '"worker_count":1', '"worker_count":true'),  # JSON true is no integer
+    ], ids=["string_entry", "float_entry", "float_field", "bool_field"])
+    @pytest.mark.parametrize("command", ["verify", "merge", "run"])
+    def test_non_integer_value(self, capsys, tmp_path, line_no, old, new, command):
+        bad = tmp_path / "bad.jsonl"
+        run(capsys, "run", "--range", "2..30", "--out", str(bad))
+        lines = bad.read_text().splitlines(keepends=True)
+        assert old in lines[line_no - 1]
+        lines[line_no - 1] = lines[line_no - 1].replace(old, new, 1)
+        data = "".join(lines)
+        bad.write_text(data)
+        out_path = tmp_path / "m.jsonl"
+        argv = {
+            "verify": ["verify", "--in", str(bad)],
+            "merge": ["merge", str(bad), "--out", str(out_path)],
+            "run": ["run", "--range", "2..34", "--out", str(bad)],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert err.startswith(f"{bad}:{line_no}: ") and "must be an integer" in err
+        assert bad.read_text() == data
+        assert not out_path.exists()
+
     def test_merge_conflict_exit(self, capsys, tmp_path, monkeypatch):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
@@ -281,3 +319,18 @@ class TestVerifyRunMerge:
         code, _, err = run(capsys, "run", "--range", "abc", "--out", str(tmp_path / "x"))
         assert code == 2
         assert "expected A..B" in err
+
+
+def test_runtime_imports_no_sympy():
+    # sympy is a test oracle only; importing it would cost every CLI process
+    code = (
+        "import pkgutil, sys, oddcycles, oddcycles.cli\n"
+        "for m in pkgutil.iter_modules(oddcycles.__path__):\n"
+        "    __import__('oddcycles.' + m.name)\n"
+        "assert 'sympy' not in sys.modules, 'sympy imported'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Record files: round-trips, self-verification on load, merge semantics."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -139,6 +140,23 @@ class TestValidation:
     def test_unknown_reason_rejected(self):
         with pytest.raises(ValueError, match="reason"):
             record_22(reason="vibes").validate()
+
+    @pytest.mark.parametrize("field", [
+        "schema_version", "t", "m", "value", "elapsed_ms", "nodes_examined",
+        "shard_id", "worker_count",
+    ])
+    @pytest.mark.parametrize("kind", [float, str, bool])
+    def test_integer_fields_must_be_int(self, field, kind):
+        rec = record_22()
+        bad = replace(rec, **{field: kind(getattr(rec, field))})
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            bad.validate()
+
+    @pytest.mark.parametrize("entry", [-3.0, "-3", True, None])
+    def test_certificate_entries_must_be_int(self, entry):
+        cert = ((entry, -3, 2),) + NINE_CYCLE_22[1:]
+        with pytest.raises(ValueError, match="certificate entry must be an integer"):
+            record_22(certificate=cert).validate()
 
     def test_in_file_conflicting_duplicate(self, tmp_path):
         path = tmp_path / "out.jsonl"
