@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable
 
-from .arith import STClass, classify, four_square_decomposition
+from .arith import four_square_decomposition
 from .search import OddCycle, verify_cycle
 from .vectors import LatticeVector, magnitude_sq
 
@@ -92,10 +92,12 @@ def triangle_cycle(s: int) -> OddCycle:
     x^2 + xy + y^2 = s/2 is (2y + x)^2 = 2s - 3x^2.  The pair taken is the
     least x >= 0, then the root y of least |y|, positive first: with
     r = isqrt(2s - 3x^2) that is y = (r - x)/2, an integer because
-    s = 2 (mod 4) gives r = x (mod 2).
+    s = 2 (mod 4) gives r = x (mod 2).  Class S is the s = 2 (mod 4) with
+    s/2 = x^2 + xy + y^2, so a loop that finds no root proves s is in
+    class T, and the search needs no factorization of s first.
     """
-    if classify(s) is not STClass.S:
-        raise ValueError(f"triangle_cycle requires s in class S, got {s}")
+    if s % 4 != 2:
+        raise ValueError(f"triangle_cycle requires s = 2 (mod 4), got {s}")
     x = 0
     while 3 * x * x <= 2 * s:
         d = 2 * s - 3 * x * x
@@ -103,9 +105,7 @@ def triangle_cycle(s: int) -> OddCycle:
         if r * r == d:
             return param_cycle(ParamId.TRIANGLE, x, (r - x) // 2)
         x += 1
-    raise ConstructionError(
-        f"no (a, b) with 2a^2+2ab+2b^2 = {s}; contradicts the S characterization"
-    )
+    raise ValueError(f"triangle_cycle requires s in class S, got {s}")
 
 
 def param_cycle(p: ParamId, x: int, y: int) -> OddCycle:

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import STClass, classify, reduce_mod4
+from .arith import reduce_mod4
 from .search import OddCycle, min_odd_cycle
 from .constructions import k4_triangle, triangle_cycle
 
@@ -61,8 +61,12 @@ def compute_C(m: int, r: int) -> CmResult:
     core, _ = reduce_mod4(r)
     if core % 2 == 1:
         return CmResult(m, r, 0, Reason.ODD_R, None, core)
-    if classify(core) is STClass.S:
+    try:
+        # triangle_cycle's search is the class-S test: it raises ValueError
+        # on a class-T core, so classify runs once, as min_odd_cycle's guard
         return CmResult(m, r, 3, Reason.TRIANGLE, triangle_cycle(core), core)
+    except ValueError:
+        pass
     res = min_odd_cycle(core)
     nodes = sum(out.nodes_examined for out in res.outcomes)
     if res.unresolved:

@@ -19,34 +19,50 @@ of its vectors' keys; _half_sums builds them in lexicographic index order.
 canon(w) sorts the absolute values of w's coordinates, and _canon turns a
 sum's key into the key of canon(sum).
 
-Why the quotient is sound.  V(t) is closed under B3, so the set W_h of
-h-multiset sums is too, and w is in W_h iff canon(w) is in canon(W_h).
-Every orbit of V(t) meets R, the vectors with 0 <= x <= y <= z (the
-triples of enumerate_triples), so canon(W_h) = canon(R + W_{h-1}): the
-left side holds those keys, about |R|/|V| = 1/48 of all h-multisets.  A
-zero-sum multiset can be moved by some g in B3 so that it contains a
-vector of R, and g maps V(t) onto itself, so without loss of generality
-every cycle contains a representative: MITM probes canon(r + Q) for r in R
-and Q an (h2-1)-multiset, and the modified engine probes one closing
-target per orbit (orbit reduction, as in McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998).  A hit says canon(left sum) =
-canon(probe sum); _signed_perm finds g in B3 with g(left sum) = -(probe
-sum), and g(left vectors) plus the probe's vectors is the certificate.
-brute_force keeps no quotient: it is the independent oracle.
+Why the quotient is sound.  Let U be V(t) or any union of B3 orbits of
+V(t), and R_U the representatives in U.  U is closed under B3, so the set
+W_h of h-multiset sums over U is too, and w is in W_h iff canon(w) is in
+canon(W_h).  Every orbit of U meets R_U, so canon(W_h) =
+canon(R_U + W_{h-1}): the left side holds those keys, about |R_U|/|U| =
+1/48 of all h-multisets.  A zero-sum multiset over U can be moved by some
+g in B3 so that it contains a vector of R_U, and g maps U onto itself, so
+without loss of generality every cycle contains a representative: MITM
+probes canon(r + Q) for r in R_U and Q an (h2-1)-multiset over U, and the
+modified engine probes one closing target per orbit (orbit reduction, as
+in McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+A hit says canon(left sum) = canon(probe sum); _signed_perm finds g in B3
+with g(left sum) = -(probe sum), and g(left vectors) plus the probe's
+vectors is the certificate.  brute_force keeps no quotient: it is the
+independent oracle.
+
+Staged joins.  Any cycle over a union of orbits U is a cycle over V(t),
+so meet_in_middle first joins a few such U, then V(t) itself (_stages):
+stage k is the union of the orbits of k representatives spread evenly
+over R, for k = 32, 64, ... while 2k <= |R|, so the stages depend on t
+alone and none runs while |R| < 64.  A cycle found on a stage is a cycle
+of V(t), so it settles length n just as a hit on V(t) would (for class T,
+a 5-cycle proves C_3 = 5); only the last stage, all of V(t), can show
+that no cycle of length n exists.  A subset stage whose left side is over
+MEMORY_BUDGET is skipped, and one that misses stops after probing
+min(full left side, MEMORY_BUDGET) keys, so a stage costs at most about
+what the full join would.  Only the full stage raises SearchMemoryError:
+a stage hit can settle a value whose full left side is over budget.
 
 The kernel sorts the left side and probes it in chunks that start at
 _FIRST_CHUNK keys and double, so a hit among the first probes costs
-little.  The certificate is read back from the two row numbers (_unrank).
-nodes_examined counts, for both joins, the quotient keys built and probed:
-the left side plus every probe chunk up to the one with the hit.  For
-brute_force it counts index prefixes visited; the two are not comparable.
-The engines run in one thread; parallel runs split a range of t into
-shards (`oddcycles run --shards`).
+little; the probe side's multiset sums are built the same way, in chunks
+made as they are asked for.  The certificate is read back from the two
+row numbers (_unrank).  nodes_examined counts, for both joins, the
+quotient keys built and probed: the left side plus every probe chunk up
+to the one with the hit, summed over every stage meet_in_middle joined.
+For brute_force it counts index prefixes visited; the two are not
+comparable.  The engines run in one thread; parallel runs split a range
+of t into shards (`oddcycles run --shards`).
 
 The search limits are module constants, read at call time: N_MAX, the
 longest length min_odd_cycle tries, and MEMORY_BUDGET, the most left-side
-keys one meet_in_middle call may build.  A value that passes either is
-unresolved.
+keys one join may build.  A value whose full left side passes it, with no
+stage hit first, is unresolved.
 
 Every cycle an engine returns is re-verified internally before it escapes.
 """
@@ -55,6 +71,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from math import comb, isqrt
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -197,22 +214,30 @@ def brute_force(
 # the join kernel
 # ---------------------------------------------------------------------------
 
-_FIRST_CHUNK = 2048  # probe keys in the first chunk; each next one doubles
-_LAST_CHUNK = 1 << 20  # ... up to this many
-_SUMS_CHUNK = 1 << 20  # multiset sums built at once on the probe side
+_FIRST_CHUNK = 2048  # probe keys, and sums, in the first chunk; each next doubles
+_LAST_CHUNK = 1 << 20  # ... up to this many probe keys
+_SUMS_CHUNK = 1 << 20  # ... and this many probe-side sums
+_FIRST_STAGE = 32  # orbits in meet_in_middle's first subset stage; each next doubles
 
 
-def _key_base(vs: VectorSet, span: int) -> int:
-    """Base B of the scalar keys for sums of up to `span` vectors of vs.
+def _coords(vs: VectorSet) -> np.ndarray:
+    """vs's vectors as an (nv, 3) int64 array."""
+    flat = chain.from_iterable(vs.vectors)
+    return np.fromiter(flat, dtype=np.int64, count=3 * len(vs)).reshape(-1, 3)
+
+
+def _key_base(t: int, coords: np.ndarray, span: int) -> int:
+    """Base B of the scalar keys for sums of up to `span` rows of coords,
+    vectors of V(t).
 
     B = 2*offset + 1 with offset = span * (largest coordinate), so every
     such sum has coordinates in [-offset, offset]: balanced base-B digits,
     whose key (x*B + y)*B + z is unique and below 2**61 in absolute value.
     """
-    offset = span * max(abs(x) for v in vs.vectors for x in v)
+    offset = span * int(np.abs(coords).max())
     base = 2 * offset + 1
     if base**3 > 2**62:
-        raise ValueError(f"t={vs.t} too large for scalar-key search")
+        raise ValueError(f"t={t} too large for scalar-key search")
     return base
 
 
@@ -260,21 +285,25 @@ def _count_from(nv: int, h: int, i: int) -> int:
     return comb((nv - i) + h - 2, h - 1)
 
 
-def _seed_chunks(nv: int, h: int, chunk_target: int) -> list[tuple[int, int]]:
-    """Group seed indices so each chunk yields at most ~chunk_target sums."""
-    chunks: list[tuple[int, int]] = []
-    lo = 0
-    acc = 0
+def _seed_chunks(nv: int, h: int) -> Iterator[tuple[int, int]]:
+    """Seed index ranges [lo, hi) of the h-multisets over [0, nv), in order.
+
+    Chunk k holds the seeds whose multisets fit in a target of
+    _FIRST_CHUNK * 2**k sums, capped at _SUMS_CHUNK; a seed whose multisets
+    alone pass the target is a chunk by itself.  The chunks are made as
+    they are asked for, so a hit in the first few builds little.
+    """
+    target = _FIRST_CHUNK
+    lo = acc = 0
     for i in range(nv):
         cnt = _count_from(nv, h, i)
-        if acc and acc + cnt > chunk_target:
-            chunks.append((lo, i))
-            lo = i
-            acc = 0
+        if acc and acc + cnt > target:
+            yield lo, i
+            lo, acc = i, 0
+            target = min(2 * target, _SUMS_CHUNK)
         acc += cnt
     if lo < nv:
-        chunks.append((lo, nv))
-    return chunks
+        yield lo, nv
 
 
 def _half_sums(keys: np.ndarray, h: int, seed_lo: int, seed_hi: int) -> np.ndarray:
@@ -317,21 +346,27 @@ def _unrank(nv: int, h: int, row: int) -> tuple[int, ...]:
 
 
 def _probe_chunks(
-    sums: Iterable[np.ndarray], b: np.ndarray, base: int
+    sums: Iterable[np.ndarray], b: np.ndarray, base: int, cap: Optional[int] = None
 ) -> Iterator[np.ndarray]:
     """canon keys of s + b[j] for every s of every array in sums, in order.
 
     Row i*len(b) + j (counting on across arrays) is s_i + b[j].  Chunks
     start at _FIRST_CHUNK keys and double up to _LAST_CHUNK; each holds
-    whole rows of s.
+    whole rows of s.  With a cap, the chunks stop before they hold more
+    than cap keys in all.
     """
     size = _FIRST_CHUNK
     for arr in sums:
         lo = 0
         while lo < len(arr):
-            step = max(1, size // len(b))
-            yield _outer_canon(arr[lo : lo + step], b, base)
-            lo += step
+            rows = arr[lo : lo + max(1, size // len(b))]
+            if cap is not None:
+                rows = rows[: cap // len(b)]
+                if len(rows) == 0:
+                    return
+                cap -= len(rows) * len(b)
+            yield _outer_canon(rows, b, base)
+            lo += len(rows)
             size = min(2 * size, _LAST_CHUNK)
 
 
@@ -350,19 +385,42 @@ def _first_hit(
     row0 = 0
     for keys in probes:
         nodes += len(keys)
-        idx = np.searchsorted(ordered, keys)
+        # searchsorted runs several times faster on sorted probes
+        probe = np.sort(keys)
+        idx = np.searchsorted(ordered, probe)
         np.minimum(idx, len(ordered) - 1, out=idx)
-        hit = ordered[idx] == keys
-        if hit.any():
-            j = int(np.argmax(hit))
+        common = probe[ordered[idx] == probe]
+        if len(common):
+            j = int(np.argmax(np.isin(keys, common)))
             return (row0 + j, int(np.argmax(left == keys[j]))), nodes
         row0 += len(keys)
     return None, nodes
 
 
-def _representatives(vs: VectorSet) -> list[int]:
-    """Indices of R, the orbit representatives 0 <= x <= y <= z, in vs."""
-    return [i for i, (x, y, z) in enumerate(vs.vectors) if 0 <= x <= y <= z]
+def _representatives(coords: np.ndarray) -> np.ndarray:
+    """Indices of R, the orbit representatives 0 <= x <= y <= z, among coords' rows."""
+    x, y, z = coords.T
+    return np.flatnonzero((0 <= x) & (x <= y) & (y <= z))
+
+
+def _stages(keys: np.ndarray, reps: np.ndarray, base: int) -> list[np.ndarray]:
+    """The B3-closed vector sets meet_in_middle joins, as indices into V(t).
+
+    Stage k is the union of the orbits of k representatives taken evenly
+    from R, at positions i*|R|//k, for k = _FIRST_STAGE, 2*_FIRST_STAGE,
+    ... while 2k <= |R|; the last stage is all of V(t).  A vector is in
+    the orbit of the representative whose key is the vector's canon key.
+    """
+    stages = []
+    k = _FIRST_STAGE
+    if 2 * k <= len(reps):
+        orbit = _canon(keys.copy(), base)
+    while 2 * k <= len(reps):
+        chosen = keys[reps[np.arange(k) * len(reps) // k]]
+        stages.append(np.flatnonzero(np.isin(orbit, chosen)))
+        k *= 2
+    stages.append(np.arange(len(keys)))
+    return stages
 
 
 def _signed_perm(
@@ -399,14 +457,34 @@ def _rebuild(
 # ---------------------------------------------------------------------------
 
 
+def _join(
+    keys: np.ndarray, reps: np.ndarray, h1: int, h2: int, base: int, cap: Optional[int]
+) -> tuple[Optional[tuple[int, int]], int]:
+    """_first_hit of the quotient join over one B3-closed vector set.
+
+    keys are the set's vectors and reps the indices of its representatives.
+    The left side holds canon(r + M) for every r in reps and (h1-1)-multiset
+    M, at row (M's row)*len(reps) + r's position; the probes are
+    canon(r + Q) for (h2-1)-multisets Q, rowed the same way, at most cap
+    of them.
+    """
+    nv = len(keys)
+    rkeys = keys[reps]
+    left = _outer_canon(_half_sums(keys, h1 - 1, 0, nv), rkeys, base)
+    sums = (_half_sums(keys, h2 - 1, lo, hi) for lo, hi in _seed_chunks(nv, h2 - 1))
+    return _first_hit(left, _probe_chunks(sums, rkeys, base, cap))
+
+
 def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
     """Join of half-length partial sums on B3 orbits; same contract as brute_force.
 
     vs must be a whole V(t), closed under B3.  With h1 = floor(n/2) and
-    h2 = ceil(n/2), the left side holds canon(r + M) for every r in R and
-    (h1-1)-multiset M; the probes are canon(r + Q) for every r in R and
-    (h2-1)-multiset Q.  A left side of more than MEMORY_BUDGET keys raises
-    SearchMemoryError.  nodes_examined counts the keys built.
+    h2 = ceil(n/2), the join runs on each of _stages(V(t)) in turn, the
+    last being all of V(t), until one has a hit.  A subset stage probes
+    at most min(full left side, MEMORY_BUDGET) keys and is skipped when
+    its left side is over MEMORY_BUDGET; a full left side over
+    MEMORY_BUDGET raises SearchMemoryError.  Only the full stage can end
+    exhausted.  nodes_examined counts the keys built over all stages.
     """
     _check_length(n)
     start = time.perf_counter()
@@ -415,33 +493,37 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
         return SearchOutcome(vs.t, n, None, 0, time.perf_counter() - start)
 
     h1, h2 = n // 2, n - n // 2
-    reps = _representatives(vs)
-    size1 = len(reps) * comb(nv + h1 - 2, h1 - 1)
-    if size1 > MEMORY_BUDGET:
-        raise SearchMemoryError(
-            f"{size1} left keys of size {h1} exceed budget {MEMORY_BUDGET}"
+    coords = _coords(vs)
+    base = _key_base(vs.t, coords, h2)
+    keys = _keys(coords, base)
+    reps = _representatives(coords)
+    full = len(reps) * comb(nv + h1 - 2, h1 - 1)
+    nodes = 0
+    stages = _stages(keys, reps, base)
+    for idx in stages:
+        last = idx is stages[-1]
+        sreps = np.flatnonzero(np.isin(idx, reps))
+        size1 = len(sreps) * comb(len(idx) + h1 - 2, h1 - 1)
+        if size1 > MEMORY_BUDGET:
+            if last:
+                raise SearchMemoryError(
+                    f"{size1} left keys of size {h1} exceed budget {MEMORY_BUDGET}"
+                )
+            continue
+        cap = None if last else min(full, MEMORY_BUDGET)
+        hit, built = _join(keys[idx], sreps, h1, h2, base, cap)
+        nodes += built
+        if hit is None:
+            continue
+        (row2, j), (row1, i) = (divmod(row, len(sreps)) for row in hit)
+        vecs = [vs.vectors[k] for k in idx]
+        cycle = _rebuild(
+            vs.t,
+            [vecs[sreps[i]]] + [vecs[k] for k in _unrank(len(idx), h1 - 1, row1)],
+            [vecs[sreps[j]]] + [vecs[k] for k in _unrank(len(idx), h2 - 1, row2)],
         )
-    base = _key_base(vs, h2)
-    keys = _keys(vs.vectors, base)
-    rkeys = keys[reps]
-    left = _outer_canon(_half_sums(keys, h1 - 1, 0, nv), rkeys, base)
-    sums = (
-        _half_sums(keys, h2 - 1, lo, hi)
-        for lo, hi in _seed_chunks(nv, h2 - 1, _SUMS_CHUNK)
-    )
-    hit, nodes = _first_hit(left, _probe_chunks(sums, rkeys, base))
-
-    elapsed = time.perf_counter() - start
-    if hit is None:
-        return SearchOutcome(vs.t, n, None, nodes, elapsed)
-    (row2, j), (row1, i) = (divmod(row, len(reps)) for row in hit)
-    vecs = vs.vectors
-    cycle = _rebuild(
-        vs.t,
-        [vecs[reps[i]]] + [vecs[k] for k in _unrank(nv, h1 - 1, row1)],
-        [vecs[reps[j]]] + [vecs[k] for k in _unrank(nv, h2 - 1, row2)],
-    )
-    return SearchOutcome(vs.t, n, cycle, nodes, time.perf_counter() - start)
+        return SearchOutcome(vs.t, n, cycle, nodes, time.perf_counter() - start)
+    return SearchOutcome(vs.t, n, None, nodes, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +566,10 @@ def modified_five_cycle(t: int) -> SearchOutcome:
     if nv == 0:
         return SearchOutcome(t, 5, None, 0, time.perf_counter() - start)
 
-    base = _key_base(vs, 3)
-    keys = _keys(vs.vectors, base)
-    reps = _representatives(vs)
+    coords = _coords(vs)
+    base = _key_base(t, coords, 3)
+    keys = _keys(coords, base)
+    reps = _representatives(coords)
     # canon(2*r with coordinate k zeroed): 0 first, then the other two doubled
     targets = set()
     for r in (vs.vectors[i] for i in reps):
@@ -535,9 +618,9 @@ def min_odd_cycle(t: int) -> MinOddCycle:
 
     T membership puts the floor at 5, so meet_in_middle exhausts odd
     lengths from 5 up until a cycle appears or N_MAX is passed
-    (unresolved).  V(t) is built once.  A length whose left side exceeds
-    MEMORY_BUDGET also ends the ladder unresolved; its outcome has
-    budget_exceeded set.
+    (unresolved).  V(t) is built once.  A length whose full left side
+    exceeds MEMORY_BUDGET, with no stage hit first, also ends the ladder
+    unresolved; its outcome has budget_exceeded set.
     """
     if classify(t) is not STClass.T:
         raise ValueError(f"min_odd_cycle requires t in class T, got {t}")

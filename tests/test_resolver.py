@@ -1,11 +1,12 @@
 """Dispatcher behavior and certificate discipline."""
 
 import random
+import sys
 
 import pytest
 
-from oddcycles import search
-from oddcycles.arith import STClass, classify
+from oddcycles import arith, search
+from oddcycles.arith import STClass, classify, enumerate_triples
 from oddcycles.resolver import Reason, compute_C
 from oddcycles.search import verify_cycle
 
@@ -104,3 +105,47 @@ class TestRangeGuard:
             res = compute_C(3, t)
             assert (res.value, res.reason) == (3, Reason.TRIANGLE), t
             assert verify_cycle(res.certificate).valid, t
+
+
+class TestStagedRange:
+    """Class-T values with at least 64 triples: meet_in_middle's subset stages run."""
+
+    def test_seeded_sample_resolves_to_five(self):
+        rng = random.Random(64)
+        lo, hi, count = 19634, 10**6, 6
+        sample = []
+        for i in range(count):
+            a = int(lo * (hi / lo) ** (i / count))
+            b = int(lo * (hi / lo) ** ((i + 1) / count))
+            while True:
+                t = rng.randrange(a + (2 - a) % 4, b, 4)
+                if classify(t) is STClass.T and len(enumerate_triples(t)) >= 64:
+                    sample.append(t)
+                    break
+        for t in sample:
+            res = compute_C(3, t)
+            assert (res.value, res.reason) == (5, Reason.SEARCHED), t
+            assert res.certificate.t == t and len(res.certificate) == 5, t
+            assert verify_cycle(res.certificate).valid, t
+
+
+def test_classifies_at_most_once_per_resolve(monkeypatch):
+    calls = []
+
+    def spy(t):
+        calls.append(t)
+        return arith.classify(t)
+
+    # every module's own reference to classify; arith's stays for the spy
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("oddcycles.") and name != "oddcycles.arith":
+            if hasattr(mod, "classify"):
+                monkeypatch.setattr(mod, "classify", spy)
+    for r in [*range(2, 400, 4), 40, 99994, 999994, 999998]:
+        calls.clear()
+        res = compute_C(3, r)
+        assert len(calls) <= 1, (r, calls)
+        core = res.reduced_r
+        if core % 2 == 0:
+            cls = arith.classify(core)
+            assert res.reason is (Reason.TRIANGLE if cls is STClass.S else Reason.SEARCHED), r

@@ -1,5 +1,6 @@
 """Engine behavior: verification, exhaustion, agreement, special-form search."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from oddcycles.search import (
     SearchMemoryError,
     _canon,
     _closing_pair,
+    _coords,
     _first_hit,
     _half_sums,
     _key_base,
@@ -28,6 +30,7 @@ from oddcycles.search import (
     _representatives,
     _seed_chunks,
     _signed_perm,
+    _stages,
     _unrank,
     brute_force,
     meet_in_middle,
@@ -38,6 +41,7 @@ from oddcycles.search import (
 from oddcycles.vectors import VectorSet, vector_set
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).parent / "data" / "c3_chart_golden.csv"
 
 # Known certificates (t = 22 nine-cycle, t = 82 seven-cycle).
 NINE_CYCLE_22 = [
@@ -151,7 +155,7 @@ def set_join_oracle(vs: VectorSet, n: int) -> bool:
     D_h, the distinct h-sums, is built as a sorted key array; a cycle is a
     sum s in D_h1 and a vector v with -(s + v) in D_h1 (h2 = h1 + 1).
     """
-    keys = _keys(vs.vectors, _key_base(vs, n))
+    keys = _keys(vs.vectors, _key_base(vs.t, _coords(vs), n))
     sums = np.zeros(1, dtype=np.int64)
     for _ in range(n // 2):
         sums = np.sort((sums[:, None] + keys[None, :]).ravel())
@@ -199,7 +203,7 @@ class TestMeetInMiddle:
         # n = 5: the left side is canon(r + v), |R| * |V| keys before dedupe
         vs = vector_set(1002)
         size = 4 * 192
-        assert len(_representatives(vs)) == 4
+        assert len(_representatives(_coords(vs))) == 4
         monkeypatch.setattr(search, "MEMORY_BUDGET", size)
         assert meet_in_middle(vs, 5).nodes_examined >= size
         monkeypatch.setattr(search, "MEMORY_BUDGET", size - 1)
@@ -289,6 +293,100 @@ class TestMinOddCycle:
         assert [(o.length_tried, o.budget_exceeded) for o in res.outcomes] == [(5, True)]
 
 
+class TestStages:
+    """meet_in_middle joins B3-closed unions of orbits before all of V(t)."""
+
+    @staticmethod
+    def spy_on_join(monkeypatch) -> list[tuple[int, int]]:
+        """Record (vectors, keys built) of every join."""
+        calls = []
+        join = search._join
+
+        def spy(keys, *args):
+            hit, built = join(keys, *args)
+            calls.append((len(keys), built))
+            return hit, built
+
+        monkeypatch.setattr(search, "_join", spy)
+        return calls
+
+    @pytest.mark.parametrize("t,first", [(999994, 32), (99994, 2)])
+    def test_stages_are_unions_of_chosen_orbits(self, monkeypatch, t, first):
+        monkeypatch.setattr(search, "_FIRST_STAGE", first)
+        vs = vector_set(t)
+        coords = _coords(vs)
+        base = _key_base(t, coords, 3)
+        reps = _representatives(coords)
+        triples = [vs.vectors[i] for i in reps]
+        want = []
+        k = first
+        while 2 * k <= len(reps):
+            chosen = {triples[int(i * len(reps) / k)] for i in range(k)}
+            want.append(
+                [j for j, v in enumerate(vs.vectors) if tuple(sorted(map(abs, v))) in chosen]
+            )
+            k *= 2
+        want.append(list(range(len(vs))))
+        stages = _stages(_keys(coords, base), reps, base)
+        assert [s.tolist() for s in stages] == want
+        assert len(stages) > 1
+        if t == 999994:
+            assert [len(s) for s in stages] == [1536, 6048]
+
+    def test_staging_keeps_verdicts(self, monkeypatch):
+        # one orbit in the first stage makes stages run on the chart's small t
+        with open(GOLDEN) as fh:
+            values = [int(r["n"]) for r in csv.DictReader(fh) if int(r["c3"]) > 5]
+        joins = self.spy_on_join(monkeypatch)
+        staged_values = 0
+        for t in values:
+            monkeypatch.setattr(search, "_FIRST_STAGE", 10**9)
+            plain = min_odd_cycle(t)
+            monkeypatch.setattr(search, "_FIRST_STAGE", 1)
+            joins.clear()
+            staged = min_odd_cycle(t)
+            staged_values += any(nv < len(vector_set(t)) for nv, _ in joins)
+            assert staged.n == plain.n > 5, t
+            assert [(o.length_tried, o.exhausted) for o in staged.outcomes] == [
+                (o.length_tried, o.exhausted) for o in plain.outcomes
+            ], t
+            assert len(staged.certificate) == staged.n, t
+            assert verify_cycle(staged.certificate).valid, t
+        assert staged_values == sum(len(enumerate_triples(t)) >= 2 for t in values) > 0
+
+    def test_missed_stage_is_not_exhaustion(self, monkeypatch):
+        # C_3(82) = 7, so the one-orbit stage at n = 5 misses; with the full
+        # left side over budget the call must raise, not end exhausted
+        monkeypatch.setattr(search, "_FIRST_STAGE", 1)
+        vs = vector_set(82)
+        full = len(_representatives(_coords(vs))) * len(vs)
+        monkeypatch.setattr(search, "MEMORY_BUDGET", full - 1)
+        joins = self.spy_on_join(monkeypatch)
+        with pytest.raises(SearchMemoryError):
+            meet_in_middle(vs, 5)
+        [(nv, built)] = joins
+        assert nv < len(vs)
+        assert built <= nv + full - 1  # one representative: nv left keys, capped probes
+        res = min_odd_cycle(82)
+        assert res.unresolved
+        assert [(o.length_tried, o.exhausted, o.budget_exceeded) for o in res.outcomes] == [
+            (5, False, True)
+        ]
+
+    def test_stage_settles_a_value_over_budget(self, monkeypatch):
+        vs = vector_set(999994)
+        assert len(_representatives(_coords(vs))) * len(vs) == 126 * 6048
+        monkeypatch.setattr(search, "MEMORY_BUDGET", 200_000)
+        out = meet_in_middle(vs, 5)
+        assert out.found is not None and not out.exhausted
+        assert len(out.found) == 5 and verify_cycle(out.found).valid
+        assert out.nodes_examined <= 32 * 1536 + 200_000
+        # below the first stage's left side, 32 representatives * 1536 vectors
+        monkeypatch.setattr(search, "MEMORY_BUDGET", 32 * 1536 - 1)
+        with pytest.raises(SearchMemoryError):
+            meet_in_middle(vs, 5)
+
+
 class TestEngineAgreementSmall:
     @pytest.mark.parametrize("t", [10, 22, 34])
     def test_verdicts_match(self, t):
@@ -308,15 +406,25 @@ class TestJoinKernel:
         expected = list(combinations_with_replacement(range(nv), h))
         assert [_unrank(nv, h, row) for row in range(len(expected))] == expected
 
-    @pytest.mark.parametrize("nv,h,target", [(5, 2, 4), (6, 3, 10), (7, 4, 1), (4, 3, 100)])
-    def test_chunk_rows_unrank_in_order(self, nv, h, target):
+    @pytest.mark.parametrize(
+        "nv,h,target", [(5, 2, 4), (6, 3, 10), (7, 4, 1), (4, 3, 100), (30, 2, 8)]
+    )
+    def test_chunk_rows_unrank_in_order(self, monkeypatch, nv, h, target):
+        # chunk k's target is _FIRST_CHUNK * 2**k sums, capped at _SUMS_CHUNK
+        monkeypatch.setattr(search, "_FIRST_CHUNK", target)
+        monkeypatch.setattr(search, "_SUMS_CHUNK", 4 * target)
         # key (h+1)**i writes a multiset's index counts as base-(h+1) digits
         keys = (h + 1) ** np.arange(nv, dtype=np.int64)
+        chunks = _seed_chunks(nv, h)
+        assert iter(chunks) is chunks  # made as they are asked for
         row0 = 0
-        for lo, hi in _seed_chunks(nv, h, target):
+        for k, (lo, hi) in enumerate(chunks):
+            cap = min(target << k, 4 * target)
             sums = _half_sums(keys, h, lo, hi)
             assert len(sums) == sum(comb(nv - i + h - 2, h - 1) for i in range(lo, hi))
-            assert len(sums) <= target or hi - lo == 1
+            assert len(sums) <= cap or hi - lo == 1
+            if hi < nv:  # the chunk took every seed that fits its target
+                assert len(sums) + comb(nv - hi + h - 2, h - 1) > cap
             rows = [_unrank(nv, h, row0 + r) for r in range(len(sums))]
             assert all(lo <= row[0] < hi for row in rows)
             assert sums.tolist() == [sum((h + 1) ** i for i in row) for row in rows]
@@ -331,9 +439,9 @@ class TestJoinKernel:
         c = offset // 3
         assert 3 * c == offset
         vecs = ((c, -c, c), (c, -c, 0), (-c, c, -c), (0, c, -c), (c, 0, c))
-        assert _key_base(VectorSet(t=0, vectors=vecs), 3) == base
+        assert _key_base(0, np.array(vecs), 3) == base
         with pytest.raises(ValueError, match="too large"):
-            _key_base(VectorSet(t=0, vectors=vecs + ((c + 1, 0, 0),)), 3)
+            _key_base(0, np.array(vecs + ((c + 1, 0, 0),)), 3)
 
         def key(v):
             return (v[0] * base + v[1]) * base + v[2]
@@ -360,7 +468,7 @@ class TestJoinKernel:
     @pytest.mark.parametrize("t", [22, 58, 1002, 99994])
     def test_representatives_are_the_triples(self, t):
         vs = vector_set(t)
-        reps = [vs.vectors[i] for i in _representatives(vs)]
+        reps = [vs.vectors[i] for i in _representatives(_coords(vs))]
         assert reps == [tuple(tr) for tr in enumerate_triples(t)]
 
     def test_canon_key_sorts_absolute_values(self):
@@ -368,7 +476,7 @@ class TestJoinKernel:
         # and with equal-magnitude coordinates
         for t in (22, 58):
             vs = vector_set(t)
-            base = _key_base(vs, 3)
+            base = _key_base(vs.t, _coords(vs), 3)
             rows = list(combinations_with_replacement(range(len(vs)), 3))
             sums = [[sum(vs.vectors[i][j] for i in row) for j in range(3)] for row in rows]
             want = _keys([sorted(map(abs, w)) for w in sums], base)
@@ -427,6 +535,11 @@ class TestJoinKernel:
         # each chunk is its doubling target, cut short only where an array ends
         assert all(got <= cap for got, cap in zip(sizes, full))
         assert sizes[0] == 3 and sizes[1] == full[1]
+        # a cap ends the chunks at the last whole row that keeps them within it
+        for cap in (6, 7, 100, 7 * 4000 + 3):
+            capped = list(_probe_chunks(iter(arrays), _keys(bvecs, base), base, cap))
+            got = np.concatenate(capped) if capped else np.zeros(0, dtype=np.int64)
+            assert got.tolist() == want[: cap // 7 * 7].tolist()
 
 
 class TestPinnedCertificates:
