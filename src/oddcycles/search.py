@@ -37,16 +37,18 @@ independent oracle.
 
 Staged joins.  Any cycle over a union of orbits U is a cycle over V(t),
 so meet_in_middle first joins a few such U, then V(t) itself (_stages):
-stage k is the union of the orbits of k representatives spread evenly
-over R, for k = 32, 64, ... while 2k <= |R|, so the stages depend on t
-alone and none runs while |R| < 64.  A cycle found on a stage is a cycle
-of V(t), so it settles length n just as a hit on V(t) would (for class T,
-a 5-cycle proves C_3 = 5); only the last stage, all of V(t), can show
-that no cycle of length n exists.  A subset stage whose left side is over
-MEMORY_BUDGET is skipped, and one that misses stops after probing
-min(full left side, MEMORY_BUDGET) keys, so a stage costs at most about
-what the full join would.  Only the full stage raises SearchMemoryError:
-a stage hit can settle a value whose full left side is over budget.
+stage k is the union of the orbits of k triples spread evenly over R,
+for k = 32, 64, ... while 2k <= |R|, so the stages depend on t alone and
+none runs while |R| < 64; a stage is read from VectorSet.orbit.  A cycle
+found on a stage is a cycle of V(t), so it settles length n just as a
+hit on V(t) would (for class T, a 5-cycle proves C_3 = 5); only the last
+stage, all of V(t), can show that no cycle of length n exists.  A subset
+stage whose left side is over MEMORY_BUDGET is skipped, and one that
+misses stops after probing min(full left side, MEMORY_BUDGET) keys, so a
+stage costs at most about what the full join would.  Only the full stage
+raises SearchMemoryError, which carries the keys the missed stages
+built: a stage hit can settle a value whose full left side is over
+budget.
 
 The kernel sorts the left side and probes it in chunks that start at
 _FIRST_CHUNK keys and double, so a hit among the first probes costs
@@ -57,12 +59,9 @@ quotient keys built and probed: the left side plus every probe chunk up
 to the one with the hit, summed over every stage meet_in_middle joined.
 For brute_force it counts index prefixes visited; the two are not
 comparable.  The engines run in one thread; parallel runs split a range
-of t into shards (`oddcycles run --shards`).
-
-The search limits are module constants, read at call time: N_MAX, the
-longest length min_odd_cycle tries, and MEMORY_BUDGET, the most left-side
-keys one join may build.  A value whose full left side passes it, with no
-stage hit first, is unresolved.
+of t into shards (`oddcycles run --shards`).  The limits are module
+constants read at call time: N_MAX, the longest length min_odd_cycle
+tries, and MEMORY_BUDGET, the most left-side keys one join may build.
 
 Every cycle an engine returns is re-verified internally before it escapes.
 """
@@ -71,7 +70,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 from math import comb, isqrt
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -85,7 +83,11 @@ MEMORY_BUDGET = 30_000_000  # left-side keys held at once, per engine call
 
 
 class SearchMemoryError(MemoryError):
-    """The left side of meet-in-the-middle would exceed MEMORY_BUDGET."""
+    """A full left side over MEMORY_BUDGET, after nodes_examined keys of missed stages."""
+
+    def __init__(self, message: str, nodes_examined: int = 0) -> None:
+        super().__init__(message)
+        self.nodes_examined = nodes_examined
 
 
 @dataclass(frozen=True)
@@ -218,12 +220,6 @@ _FIRST_CHUNK = 2048  # probe keys, and sums, in the first chunk; each next doubl
 _LAST_CHUNK = 1 << 20  # ... up to this many probe keys
 _SUMS_CHUNK = 1 << 20  # ... and this many probe-side sums
 _FIRST_STAGE = 32  # orbits in meet_in_middle's first subset stage; each next doubles
-
-
-def _coords(vs: VectorSet) -> np.ndarray:
-    """vs's vectors as an (nv, 3) int64 array."""
-    flat = chain.from_iterable(vs.vectors)
-    return np.fromiter(flat, dtype=np.int64, count=3 * len(vs)).reshape(-1, 3)
 
 
 def _key_base(t: int, coords: np.ndarray, span: int) -> int:
@@ -397,29 +393,23 @@ def _first_hit(
     return None, nodes
 
 
-def _representatives(coords: np.ndarray) -> np.ndarray:
-    """Indices of R, the orbit representatives 0 <= x <= y <= z, among coords' rows."""
-    x, y, z = coords.T
-    return np.flatnonzero((0 <= x) & (x <= y) & (y <= z))
-
-
-def _stages(keys: np.ndarray, reps: np.ndarray, base: int) -> list[np.ndarray]:
+def _stages(vs: VectorSet) -> list[np.ndarray]:
     """The B3-closed vector sets meet_in_middle joins, as indices into V(t).
 
-    Stage k is the union of the orbits of k representatives taken evenly
-    from R, at positions i*|R|//k, for k = _FIRST_STAGE, 2*_FIRST_STAGE,
-    ... while 2k <= |R|; the last stage is all of V(t).  A vector is in
-    the orbit of the representative whose key is the vector's canon key.
+    Stage k is the union of the orbits of k triples taken evenly from R,
+    at positions i*|R|//k, for k = _FIRST_STAGE, 2*_FIRST_STAGE, ... while
+    2k <= |R|; the last stage is all of V(t).  Membership is read from
+    vs.orbit.
     """
+    nr = len(vs.reps)
     stages = []
     k = _FIRST_STAGE
-    if 2 * k <= len(reps):
-        orbit = _canon(keys.copy(), base)
-    while 2 * k <= len(reps):
-        chosen = keys[reps[np.arange(k) * len(reps) // k]]
-        stages.append(np.flatnonzero(np.isin(orbit, chosen)))
+    while 2 * k <= nr:
+        chosen = np.zeros(nr, dtype=bool)
+        chosen[np.arange(k) * nr // k] = True
+        stages.append(np.flatnonzero(chosen[vs.orbit]))
         k *= 2
-    stages.append(np.arange(len(keys)))
+    stages.append(np.arange(len(vs)))
     return stages
 
 
@@ -483,8 +473,9 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
     last being all of V(t), until one has a hit.  A subset stage probes
     at most min(full left side, MEMORY_BUDGET) keys and is skipped when
     its left side is over MEMORY_BUDGET; a full left side over
-    MEMORY_BUDGET raises SearchMemoryError.  Only the full stage can end
-    exhausted.  nodes_examined counts the keys built over all stages.
+    MEMORY_BUDGET raises SearchMemoryError with the keys built so far.
+    Only the full stage can end exhausted.  nodes_examined counts the
+    keys built over all stages.
     """
     _check_length(n)
     start = time.perf_counter()
@@ -493,21 +484,21 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
         return SearchOutcome(vs.t, n, None, 0, time.perf_counter() - start)
 
     h1, h2 = n // 2, n - n // 2
-    coords = _coords(vs)
-    base = _key_base(vs.t, coords, h2)
-    keys = _keys(coords, base)
-    reps = _representatives(coords)
-    full = len(reps) * comb(nv + h1 - 2, h1 - 1)
+    base = _key_base(vs.t, vs.coords, h2)
+    keys = _keys(vs.coords, base)
+    is_rep = vs.reps[vs.orbit] == np.arange(nv)  # each orbit's triple
+    full = len(vs.reps) * comb(nv + h1 - 2, h1 - 1)
     nodes = 0
-    stages = _stages(keys, reps, base)
+    stages = _stages(vs)
     for idx in stages:
         last = idx is stages[-1]
-        sreps = np.flatnonzero(np.isin(idx, reps))
+        sreps = np.flatnonzero(is_rep[idx])
         size1 = len(sreps) * comb(len(idx) + h1 - 2, h1 - 1)
         if size1 > MEMORY_BUDGET:
             if last:
                 raise SearchMemoryError(
-                    f"{size1} left keys of size {h1} exceed budget {MEMORY_BUDGET}"
+                    f"{size1} left keys of size {h1} exceed budget {MEMORY_BUDGET}",
+                    nodes,
                 )
             continue
         cap = None if last else min(full, MEMORY_BUDGET)
@@ -516,12 +507,10 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
         if hit is None:
             continue
         (row2, j), (row1, i) = (divmod(row, len(sreps)) for row in hit)
-        vecs = [vs.vectors[k] for k in idx]
-        cycle = _rebuild(
-            vs.t,
-            [vecs[sreps[i]]] + [vecs[k] for k in _unrank(len(idx), h1 - 1, row1)],
-            [vecs[sreps[j]]] + [vecs[k] for k in _unrank(len(idx), h2 - 1, row2)],
-        )
+        left = idx[[sreps[i], *_unrank(len(idx), h1 - 1, row1)]]
+        probe = idx[[sreps[j], *_unrank(len(idx), h2 - 1, row2)]]
+        vecs = vs.vectors
+        cycle = _rebuild(vs.t, [vecs[k] for k in left], [vecs[k] for k in probe])
         return SearchOutcome(vs.t, n, cycle, nodes, time.perf_counter() - start)
     return SearchOutcome(vs.t, n, None, nodes, time.perf_counter() - start)
 
@@ -566,33 +555,25 @@ def modified_five_cycle(t: int) -> SearchOutcome:
     if nv == 0:
         return SearchOutcome(t, 5, None, 0, time.perf_counter() - start)
 
-    coords = _coords(vs)
-    base = _key_base(t, coords, 3)
-    keys = _keys(coords, base)
-    reps = _representatives(coords)
-    # canon(2*r with coordinate k zeroed): 0 first, then the other two doubled
-    targets = set()
-    for r in (vs.vectors[i] for i in reps):
-        for k in range(3):
-            d = sorted(2 * x for a, x in enumerate(r) if a != k)
-            if any(d):
-                targets.add((0, *d))
-    tlist = sorted(targets)
+    base = _key_base(t, vs.coords, 3)
+    keys = _keys(vs.coords, base)
+    reps = vs.reps
+    # canon(2*r with a coordinate zeroed), r = (a, b, c) in R: (0, 2b, 2c),
+    # (0, 2a, 2c) or (0, 2a, 2b), but never (0, 0, 0)
+    doubled = (2 * vs.coords[reps]).tolist()
+    targets = {(0, r[i], r[j]) for r in doubled for i, j in ((1, 2), (0, 2), (0, 1))}
+    tlist = sorted(targets - {(0, 0, 0)})
 
     left = _outer_canon(keys, keys[reps], base)
     probes = _probe_chunks([_keys(tlist, base)], -keys, base)
     hit, nodes = _first_hit(left, probes)
 
-    elapsed = time.perf_counter() - start
     if hit is None:
-        return SearchOutcome(t, 5, None, nodes, elapsed)
+        return SearchOutcome(t, 5, None, nodes, time.perf_counter() - start)
     (ti, k), (m, i) = divmod(hit[0], nv), divmod(hit[1], len(reps))
     vecs = vs.vectors
-    cycle = _rebuild(
-        t,
-        [vecs[reps[i]], vecs[m]],
-        [vecs[k], *_closing_pair(t, tlist[ti])],
-    )
+    left, probe = [vecs[reps[i]], vecs[m]], [vecs[k], *_closing_pair(t, tlist[ti])]
+    cycle = _rebuild(t, left, probe)
     return SearchOutcome(t, 5, cycle, nodes, time.perf_counter() - start)
 
 
@@ -620,7 +601,8 @@ def min_odd_cycle(t: int) -> MinOddCycle:
     lengths from 5 up until a cycle appears or N_MAX is passed
     (unresolved).  V(t) is built once.  A length whose full left side
     exceeds MEMORY_BUDGET, with no stage hit first, also ends the ladder
-    unresolved; its outcome has budget_exceeded set.
+    unresolved; its outcome has budget_exceeded set and counts the keys
+    its missed stages built.
     """
     if classify(t) is not STClass.T:
         raise ValueError(f"min_odd_cycle requires t in class T, got {t}")
@@ -630,11 +612,10 @@ def min_odd_cycle(t: int) -> MinOddCycle:
         start = time.perf_counter()
         try:
             out = meet_in_middle(vs, n)
-        except SearchMemoryError:
-            elapsed = time.perf_counter() - start
-            outcomes.append(
-                SearchOutcome(t, n, None, 0, elapsed, budget_exceeded=True)
-            )
+        except SearchMemoryError as exc:
+            nodes, elapsed = exc.nodes_examined, time.perf_counter() - start
+            out = SearchOutcome(t, n, None, nodes, elapsed, budget_exceeded=True)
+            outcomes.append(out)
             break
         outcomes.append(out)
         if out.found is not None:

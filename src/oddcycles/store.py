@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .arith import reduce_mod4
 from .resolver import NONEXISTENT_REASONS, CmResult, Reason
 from .search import OddCycle, verify_cycle
 
@@ -73,6 +74,10 @@ class ResultRecord:
         if reason in NONEXISTENT_REASONS:
             if self.value != 0 or self.certificate is not None:
                 raise ValueError(f"reason {self.reason} requires value 0, no certificate")
+            if self.m != {Reason.DIM1: 1, Reason.DIM2: 2}.get(reason, self.m):
+                raise ValueError(f"reason {self.reason} does not hold at m={self.m}")
+            if reason is Reason.ODD_R and reduce_mod4(self.t)[0] % 2 == 0:
+                raise ValueError(f"reason OddR needs an odd core of t, got t={self.t}")
             return
         if reason is Reason.UNRESOLVED:
             if self.value is not None:
@@ -84,6 +89,8 @@ class ResultRecord:
             raise ValueError(f"reason {self.reason} requires a certificate")
         # For m >= 4 the certificate is a K4-derived 3-cycle at squared
         # magnitude r; verification is the same check.
+        if any(len(v) != self.m for v in self.certificate):
+            raise ValueError(f"certificate vectors are not all in Z^{self.m}")
         cycle = OddCycle.from_vectors(self.t, self.certificate)
         diag = verify_cycle(cycle)
         if not diag.valid:

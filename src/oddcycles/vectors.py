@@ -1,54 +1,65 @@
-"""Magnitude-sqrt(t) lattice vector sets in Z^3.
+"""Magnitude-sqrt(t) lattice vector sets in Z^3, with their B3 orbits.
 
-Vectors are plain tuples of ints.  The full set V(t) is produced by
-permuting and sign-flipping each canonical triple of t, deduplicated and
-sorted so that sequential searches are deterministic.
+vector_set applies B3, the 48 signed coordinate permutations, to every
+triple of R = enumerate_triples(t) in one numpy pass, sorts the images
+with np.lexsort over the columns and drops repeated rows.  The sort keys
+are the coordinates themselves, so it has no bound to overflow; each
+image keeps its triple's index, so the orbits come out of the same pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations, product
 from math import comb
 
-from .arith import Triple, enumerate_triples
+import numpy as np
+
+from .arith import enumerate_triples
 
 LatticeVector = tuple[int, ...]
+
+# B3 as 6 coordinate permutations times 8 sign patterns, the identity first in each
+_PERMS = np.array(list(permutations(range(3))))
+_SIGNS = np.array(list(product((1, -1), repeat=3)))
 
 
 def magnitude_sq(v: LatticeVector) -> int:
     return sum(x * x for x in v)
 
 
-def expand_triple(tr: Triple) -> list[LatticeVector]:
-    """All distinct vectors from permutations and sign changes of (a, b, c).
-
-    48 when 0 < a < b < c; fewer when entries repeat or are zero.
-    """
-    seen: set[LatticeVector] = set()
-    for perm in permutations(tr):
-        for signs in product((1, -1), repeat=3):
-            seen.add((signs[0] * perm[0], signs[1] * perm[1], signs[2] * perm[2]))
-    return sorted(seen)
-
-
 @dataclass(frozen=True)
 class VectorSet:
-    """Deduplicated, lexicographically sorted vectors of squared magnitude t."""
+    """Deduplicated, lexicographically sorted vectors of squared magnitude t.
+
+    coords[j] is vectors[j] as an int64 row; orbit[j] is the index in R of
+    the triple whose orbit holds it; reps[i] is the position of triple i.
+    """
 
     t: int
     vectors: tuple[LatticeVector, ...]
+    coords: np.ndarray = field(compare=False, repr=False)
+    orbit: np.ndarray = field(compare=False, repr=False)
+    reps: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.vectors)
 
 
 def vector_set(t: int) -> VectorSet:
-    """Build V(t): every Z^3 vector with squared magnitude exactly t."""
-    seen: set[LatticeVector] = set()
-    for tr in enumerate_triples(t):
-        seen.update(expand_triple(tr))
-    return VectorSet(t=t, vectors=tuple(sorted(seen)))
+    """Build V(t), every Z^3 vector with squared magnitude exactly t, and its orbits."""
+    triples = np.array(enumerate_triples(t), dtype=np.int64).reshape(-1, 3)
+    # row 48*i + 8*p + s is triple i, permuted by _PERMS[p] and signed by _SIGNS[s]
+    images = (triples[:, _PERMS][:, :, None] * _SIGNS[None, None]).reshape(-1, 3)
+    order = np.lexsort(images.T[::-1])
+    images = images[order]
+    keep = np.ones(len(images), dtype=bool)
+    keep[1:] = (images[1:] != images[:-1]).any(axis=1)
+    # a repeat is an image of the same triple and the sort is stable, so row
+    # 48*i, triple i itself, is kept; R is lexicographic as V is, so reps ascends
+    coords, source = images[keep], order[keep]
+    reps = np.flatnonzero(source % 48 == 0)
+    return VectorSet(t, tuple(zip(*coords.T.tolist())), coords, source // 48, reps)
 
 
 def search_space_size(n_vectors: int, cycle_len: int) -> int:

@@ -11,9 +11,10 @@ from test_arith import LARGE_PAIRS
 
 from oddcycles import search
 from oddcycles.cli import main
+from oddcycles.constructions import k4_triangle
 from oddcycles.resolver import Reason, compute_C
 from oddcycles.search import SearchMemoryError
-from oddcycles.store import load
+from oddcycles.store import ResultRecord, load
 
 
 def run(capsys, *argv):
@@ -238,6 +239,35 @@ class TestVerifyRunMerge:
         code, _, err = run(capsys, *argv)
         assert code == 4
         assert err.startswith(f"{bad}:1: ") and message in err
+
+    @pytest.mark.parametrize("fields,message", [
+        # C_3(22) = 9: a Z^4 triangle does not make it 3
+        (dict(value=3, reason="Triangle", certificate=k4_triangle(4, 22).vectors), "Z^3"),
+        (dict(value=0, reason="Dim1"), "does not hold at m=3"),
+        (dict(value=0, reason="Dim2"), "does not hold at m=3"),
+        (dict(value=0, reason="OddR"), "odd core"),
+    ], ids=["z4_certificate", "dim1_at_m3", "dim2_at_m3", "oddr_even_core"])
+    @pytest.mark.parametrize("command", ["verify", "merge", "run"])
+    def test_forged_record(self, capsys, tmp_path, fields, message, command):
+        forged = ResultRecord(**{
+            "t": 22, "m": 3, "certificate": None, "algorithm": "closed-form",
+            "elapsed_ms": 0, "nodes_examined": 0, "shard_id": 0, "worker_count": 1,
+            **fields,
+        })
+        bad = tmp_path / "bad.jsonl"
+        data = forged.to_json() + "\n"
+        bad.write_text(data)
+        out_path = tmp_path / "m.jsonl"
+        argv = {
+            "verify": ["verify", "--in", str(bad)],
+            "merge": ["merge", str(bad), "--out", str(out_path)],
+            "run": ["run", "--range", "2..30", "--out", str(bad)],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert err.startswith(f"{bad}:1: ") and message in err
+        assert bad.read_text() == data
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("command", ["verify", "merge", "run"])
     def test_non_utf8_line(self, capsys, tmp_path, command):

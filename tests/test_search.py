@@ -20,14 +20,12 @@ from oddcycles.search import (
     SearchMemoryError,
     _canon,
     _closing_pair,
-    _coords,
     _first_hit,
     _half_sums,
     _key_base,
     _keys,
     _probe_chunks,
     _rebuild,
-    _representatives,
     _seed_chunks,
     _signed_perm,
     _stages,
@@ -125,7 +123,8 @@ class TestBruteForce:
         # A node is an index prefix.  It is visited when every shorter
         # prefix passes the bound |partial sum| <= (n - length) * isqrt(t)
         # in each coordinate; a prefix that fails it is visited but cut.
-        toy = VectorSet(t=9, vectors=((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, -1)))
+        rows = ((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, -1))  # not closed under B3
+        toy = VectorSet(9, rows, np.array(rows), np.zeros(4, dtype=np.int64), np.array([0]))
         for vs, n in ((toy, 3), (vector_set(22), 3), (vector_set(22), 5)):
             vecs, nv, cmax = vs.vectors, len(vs.vectors), isqrt(vs.t)
 
@@ -155,7 +154,7 @@ def set_join_oracle(vs: VectorSet, n: int) -> bool:
     D_h, the distinct h-sums, is built as a sorted key array; a cycle is a
     sum s in D_h1 and a vector v with -(s + v) in D_h1 (h2 = h1 + 1).
     """
-    keys = _keys(vs.vectors, _key_base(vs.t, _coords(vs), n))
+    keys = _keys(vs.vectors, _key_base(vs.t, vs.coords, n))
     sums = np.zeros(1, dtype=np.int64)
     for _ in range(n // 2):
         sums = np.sort((sums[:, None] + keys[None, :]).ravel())
@@ -203,7 +202,7 @@ class TestMeetInMiddle:
         # n = 5: the left side is canon(r + v), |R| * |V| keys before dedupe
         vs = vector_set(1002)
         size = 4 * 192
-        assert len(_representatives(_coords(vs))) == 4
+        assert len(vs.reps) == 4
         monkeypatch.setattr(search, "MEMORY_BUDGET", size)
         assert meet_in_middle(vs, 5).nodes_examined >= size
         monkeypatch.setattr(search, "MEMORY_BUDGET", size - 1)
@@ -314,9 +313,7 @@ class TestStages:
     def test_stages_are_unions_of_chosen_orbits(self, monkeypatch, t, first):
         monkeypatch.setattr(search, "_FIRST_STAGE", first)
         vs = vector_set(t)
-        coords = _coords(vs)
-        base = _key_base(t, coords, 3)
-        reps = _representatives(coords)
+        reps = vs.reps
         triples = [vs.vectors[i] for i in reps]
         want = []
         k = first
@@ -327,7 +324,7 @@ class TestStages:
             )
             k *= 2
         want.append(list(range(len(vs))))
-        stages = _stages(_keys(coords, base), reps, base)
+        stages = _stages(vs)
         assert [s.tolist() for s in stages] == want
         assert len(stages) > 1
         if t == 999994:
@@ -359,23 +356,26 @@ class TestStages:
         # left side over budget the call must raise, not end exhausted
         monkeypatch.setattr(search, "_FIRST_STAGE", 1)
         vs = vector_set(82)
-        full = len(_representatives(_coords(vs))) * len(vs)
+        full = len(vs.reps) * len(vs)
         monkeypatch.setattr(search, "MEMORY_BUDGET", full - 1)
         joins = self.spy_on_join(monkeypatch)
-        with pytest.raises(SearchMemoryError):
+        with pytest.raises(SearchMemoryError) as exc:
             meet_in_middle(vs, 5)
         [(nv, built)] = joins
         assert nv < len(vs)
         assert built <= nv + full - 1  # one representative: nv left keys, capped probes
+        # the budget outcome keeps the keys the missed stage built
+        assert exc.value.nodes_examined == built == 119
         res = min_odd_cycle(82)
         assert res.unresolved
-        assert [(o.length_tried, o.exhausted, o.budget_exceeded) for o in res.outcomes] == [
-            (5, False, True)
-        ]
+        assert [
+            (o.length_tried, o.exhausted, o.budget_exceeded, o.nodes_examined)
+            for o in res.outcomes
+        ] == [(5, False, True, built)]
 
     def test_stage_settles_a_value_over_budget(self, monkeypatch):
         vs = vector_set(999994)
-        assert len(_representatives(_coords(vs))) * len(vs) == 126 * 6048
+        assert len(vs.reps) * len(vs) == 126 * 6048
         monkeypatch.setattr(search, "MEMORY_BUDGET", 200_000)
         out = meet_in_middle(vs, 5)
         assert out.found is not None and not out.exhausted
@@ -468,7 +468,7 @@ class TestJoinKernel:
     @pytest.mark.parametrize("t", [22, 58, 1002, 99994])
     def test_representatives_are_the_triples(self, t):
         vs = vector_set(t)
-        reps = [vs.vectors[i] for i in _representatives(_coords(vs))]
+        reps = [vs.vectors[i] for i in vs.reps]
         assert reps == [tuple(tr) for tr in enumerate_triples(t)]
 
     def test_canon_key_sorts_absolute_values(self):
@@ -476,7 +476,7 @@ class TestJoinKernel:
         # and with equal-magnitude coordinates
         for t in (22, 58):
             vs = vector_set(t)
-            base = _key_base(vs.t, _coords(vs), 3)
+            base = _key_base(vs.t, vs.coords, 3)
             rows = list(combinations_with_replacement(range(len(vs)), 3))
             sums = [[sum(vs.vectors[i][j] for i in row) for j in range(3)] for row in rows]
             want = _keys([sorted(map(abs, w)) for w in sums], base)

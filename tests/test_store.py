@@ -127,10 +127,25 @@ class TestValidation:
             record_22(value=7).validate()
 
     def test_nonexistent_reason_requires_no_certificate(self):
-        rec = record_22(value=0, reason="OddR")
+        # OddR needs an odd core of t: 9 has one, 22 does not
+        rec = record_22(t=9, value=0, reason="OddR")
         with pytest.raises(ValueError):
             rec.validate()
-        record_22(value=0, reason="OddR", certificate=None).validate()
+        record_22(t=9, value=0, reason="OddR", certificate=None).validate()
+
+    @pytest.mark.parametrize("reason,m,t,ok", [
+        ("OddR", 3, 9, True), ("OddR", 3, 36, True), ("OddR", 2, 7, True),
+        ("OddR", 3, 22, False), ("OddR", 3, 88, False),
+        ("Dim1", 1, 22, True), ("Dim1", 2, 22, False), ("Dim1", 3, 9, False),
+        ("Dim2", 2, 50, True), ("Dim2", 1, 50, False), ("Dim2", 3, 22, False),
+    ])
+    def test_zero_reason_must_hold(self, reason, m, t, ok):
+        rec = record_22(t=t, m=m, value=0, reason=reason, certificate=None)
+        if ok:
+            rec.validate()
+        else:
+            with pytest.raises(ValueError, match="does not hold|odd core"):
+                rec.validate()
 
     def test_unresolved_requires_null_value(self):
         record_22(value=None, reason="Unresolved", certificate=None).validate()

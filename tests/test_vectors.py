@@ -2,20 +2,18 @@
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddcycles.arith import Triple, count_reps, enumerate_triples
-from oddcycles.vectors import (
-    expand_triple,
-    magnitude_sq,
-    search_space_size,
-    vector_set,
-)
+from oddcycles.cli import main
+from oddcycles.search import meet_in_middle
+from oddcycles.vectors import magnitude_sq, search_space_size, vector_set
 
 
-class TestExpandTriple:
+class TestOrbitArrays:
     @pytest.mark.parametrize(
         "triple,expected",
         [
@@ -25,15 +23,50 @@ class TestExpandTriple:
         ],
     )
     def test_counts(self, triple, expected):
-        assert len(expand_triple(triple)) == expected
+        vs = vector_set(triple.value)
+        i = enumerate_triples(triple.value).index(triple)
+        assert np.bincount(vs.orbit)[i] == expected
+
+    @given(st.integers(min_value=1, max_value=10**4))
+    @settings(max_examples=60, deadline=None)
+    def test_arrays_match_vectors(self, t):
+        vs = vector_set(t)
+        triples = enumerate_triples(t)
+        assert vs.coords.dtype == np.int64 and vs.coords.shape == (len(vs), 3)
+        assert vs.coords.tolist() == [list(v) for v in vs.vectors]
+        assert vs.coords[vs.reps].tolist() == [list(tr) for tr in triples]
+        assert len(vs.orbit) == len(vs)
+        for v, i in zip(vs.vectors, vs.orbit.tolist()):
+            assert tuple(sorted(map(abs, v))) == triples[i]
+
+    @pytest.mark.parametrize("t", [7, 28])
+    def test_empty(self, capsys, t):
+        vs = vector_set(t)
+        assert len(vs) == 0 and vs.coords.shape == (0, 3)
+        assert len(vs.orbit) == len(vs.reps) == 0
+        assert main(["vectors", str(t)]) == 0
+        assert capsys.readouterr().out == f"|V({t})| = 0\n"
+        out = meet_in_middle(vs, 5)
+        assert out.exhausted and out.nodes_examined == 0
+
+
+def _orbit_of(triple):
+    """The vectors of V(triple.value) in the B3 orbit of ``triple``, in V(t) order."""
+    vs = vector_set(triple.value)
+    i = enumerate_triples(triple.value).index(triple)
+    return [v for v, j in zip(vs.vectors, vs.orbit.tolist()) if j == i]
+
+
+class TestExpandTriple:
+    """One triple's orbit, as read from the orbit array of V(t)."""
 
     def test_all_have_right_magnitude(self):
         tr = Triple(2, 3, 3)
-        for v in expand_triple(tr):
+        for v in _orbit_of(tr):
             assert magnitude_sq(v) == 22
 
     def test_sorted_and_distinct(self):
-        vecs = expand_triple(Triple(0, 3, 7))
+        vecs = _orbit_of(Triple(0, 3, 7))
         assert vecs == sorted(set(vecs))
 
 
