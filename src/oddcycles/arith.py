@@ -1,9 +1,8 @@
 """Integer arithmetic foundations.
 
-Factorization, three- and four-square decompositions, and the S/T
-classifier for integers congruent to 2 mod 4.  Everything here is exact
-integer arithmetic; the one floating-point square root, in
-enumerate_triples, is corrected to the exact integer root.
+Factorization, a sieve for the odd primes, three- and four-square
+decompositions, and the S/T classifier for integers congruent to 2 mod 4.
+Everything here is exact integer arithmetic, with no floating point.
 
 factorize works in three stages on a 63-bit input:
 
@@ -20,8 +19,9 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from functools import lru_cache
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -54,10 +54,21 @@ def _check_positive(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} exceeds 63-bit range: {n}")
 
 
+def odd_primes(limit: int) -> list[int]:
+    """The odd primes p <= limit, increasing."""
+    # index i stands for 2i + 1; the odd multiples of p from p^2 on are struck
+    is_prime = np.ones((limit + 1) // 2, dtype=bool)
+    is_prime[:1] = False
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if is_prime[i]:
+            p = 2 * i + 1
+            is_prime[p * p // 2 :: p] = False
+    return (2 * np.flatnonzero(is_prime) + 1).tolist()
+
+
 _TRIAL_LIMIT = 1024
-_TRIAL_PRIMES = tuple(
-    p for p in range(3, _TRIAL_LIMIT, 2) if all(p % d for d in range(3, isqrt(p) + 1, 2))
-)
+_TRIAL_PRIMES = tuple(odd_primes(_TRIAL_LIMIT))
+_TRIAL_PRIME_ARRAY = np.array(_TRIAL_PRIMES, dtype=np.int64)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -175,33 +186,137 @@ def reduce_mod4(r: int) -> tuple[int, int]:
     return r, k
 
 
-_GRID_CELLS = 1 << 18  # (a, b) cells per block of enumerate_triples
+_CELLS = 1 << 18  # row-by-prime cells per block of the remainder matrix
+_NUMPY_ROWS = 128  # from this many rows on, numpy finds the primes that divide each row
 
 
 def enumerate_triples(z: int) -> list[Triple]:
     """All triples 0 <= a <= b <= c with a^2 + b^2 + c^2 = z, lexicographic.
 
-    Runs over the (a, b) grid in blocks of rows.  c is the square root of
-    rem = z - a^2 - b^2 in floating point, corrected by one step either way
-    in int64, so it is the exact integer square root and c^2 == rem is an
-    exact test.
+    One row per c with 3c^2 >= z, so O(sqrt z) rows, in each of which
+    a^2 + b^2 = n = z - c^2 is solved from the factorization of n.  n is a
+    sum of two squares exactly when every prime q = 3 (mod 4) divides it to
+    an even power, and then its representations are the Gaussian integers
+    of norm n: products of (1 + i)^e for the power of 2, of
+    pi^k conj(pi)^(e - k) for each p = pi conj(pi) = 1 (mod 4), where pi
+    comes from Cornacchia's algorithm (see _prime_split), and of q^(e/2).
+
+    A row whose odd part is 3 (mod 4) has such a q to an odd power, so it
+    is dropped before factoring.  The other rows are divided by every odd
+    prime up to sqrt(max n); with many rows, numpy finds the primes that
+    divide each row at once from the remainder matrix n % p, in blocks.
+    What is left of a row then has no prime factor up to its own square
+    root, so it is 1 or a prime.
     """
     _check_positive(z, "z")
-    b = np.arange(isqrt(z // 2) + 1, dtype=np.int64)
-    a_max = isqrt(z // 3)
-    rows = max(1, _GRID_CELLS // len(b))
+    c_lo = isqrt((z - 1) // 3) + 1  # least c with 3c^2 >= z
+    c_hi = isqrt(z)
     out: list[Triple] = []
-    for a0 in range(0, a_max + 1, rows):
-        a = np.arange(a0, min(a0 + rows, a_max + 1), dtype=np.int64)[:, None]
-        rem = z - a * a - b * b
-        ok = (b >= a) & (rem >= b * b)  # b <= c
-        c = np.sqrt(np.maximum(rem, 0)).astype(np.int64)
-        c -= c * c > rem
-        c += (c + 1) * (c + 1) <= rem
-        ok &= c * c == rem
-        ai, bi = np.nonzero(ok)
-        out += map(Triple, a[ai, 0].tolist(), b[bi].tolist(), c[ai, bi].tolist())
+    if c_hi * c_hi == z:
+        out.append(Triple(0, 0, c_hi))
+        c_hi -= 1
+    if c_hi - c_lo + 1 < _NUMPY_ROWS:
+        # so z < 10^5 and every n < _TRIAL_LIMIT^2: the trial primes suffice
+        for c in range(c_lo, c_hi + 1):
+            n = z - c * c
+            if n & (n & -n) << 1 == 0:  # odd part = 1 (mod 4)
+                _add_row(out, n, c, _TRIAL_PRIMES)
+    else:
+        c = np.arange(c_lo, c_hi + 1, dtype=np.int64)
+        n = z - c * c
+        keep = n & (n & -n) << 1 == 0
+        c, n = c[keep], n[keep]
+        root = isqrt(z - c_lo * c_lo)
+        if root < _TRIAL_LIMIT:
+            primes = _TRIAL_PRIME_ARRAY[_TRIAL_PRIME_ARRAY <= root]
+        else:
+            primes = np.array(odd_primes(root), dtype=np.int64)
+        step = max(1, _CELLS // max(len(primes), 1))
+        for i in range(0, len(n), step):
+            block = n[i : i + step]
+            rows, cols = np.nonzero(block[:, None] % primes == 0)
+            divisors: list[list[int]] = [[] for _ in range(len(block))]
+            for r, p in zip(rows.tolist(), primes[cols].tolist()):
+                divisors[r].append(p)
+            for row in zip(block.tolist(), c[i : i + step].tolist(), divisors):
+                _add_row(out, *row)
+    out.sort()
     return out
+
+
+def _add_row(out: list[Triple], n: int, c: int, primes: Iterable[int]) -> None:
+    """Append Triple(a, b, c) for every a <= b <= c with a^2 + b^2 = n > 0.
+
+    ``primes`` holds, increasing, every odd prime that divides n and is at
+    most sqrt(n), and may hold odd primes that do not divide it.
+    """
+    twos = (n & -n).bit_length() - 1
+    m = n >> twos
+    scale = 1 << (twos // 2)
+    splits = []
+    for p in primes:
+        if p * p > m:
+            break
+        if m % p:
+            continue
+        m //= p
+        e = 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        if p % 4 == 1:
+            splits.append((p, e))
+        elif e % 2:
+            return
+        else:
+            scale *= p ** (e // 2)
+    if m > 1:
+        if m % 4 == 3:
+            return
+        splits.append((m, 1))
+    gauss = [(1, 0)]
+    for i, (p, e) in enumerate(splits):
+        x, y = _prime_split(p)
+        # pi^k conj(pi^(e-k)); conjugating every prime at once maps k to
+        # e - k and keeps each (|a|, |b|), so the first prime needs k <= e/2
+        if e == 1:
+            terms = [(x, -y)] if i == 0 else [(x, -y), (x, y)]
+        else:
+            powers = [(1, 0), (x, y)]
+            for _ in range(e - 1):
+                u, v = powers[-1]
+                powers.append((u * x - v * y, u * y + v * x))
+            terms = []
+            for k in range(e // 2 + 1 if i == 0 else e + 1):
+                (u, v), (s, t) = powers[k], powers[e - k]
+                terms.append((u * s + v * t, v * s - u * t))
+        gauss = [(u * s - v * t, u * t + v * s) for u, v in gauss for s, t in terms]
+    pairs = set()
+    for x, y in gauss:
+        x, y = abs(x), abs(y)
+        if twos % 2:
+            x, y = abs(x - y), x + y  # times 1 + i
+        x, y = x * scale, y * scale
+        pairs.add((x, y) if x <= y else (y, x))
+    out += [Triple(a, b, c) for a, b in pairs if b <= c]
+
+
+@lru_cache(maxsize=1 << 12)  # the same primes recur in the rows of one z and of nearby z
+def _prime_split(p: int) -> tuple[int, int]:
+    """x, y with x^2 + y^2 = p, for a prime p = 1 (mod 4).
+
+    Cornacchia's algorithm as Hermite and Serret gave it: r = g^((p-1)/4)
+    is a square root of -1 mod p when g is a quadratic non-residue, and the
+    Euclidean algorithm on (p, r) reaches x as its first remainder below
+    sqrt(p).
+    """
+    g = 2
+    while (r := pow(g, (p - 1) // 4, p)) * r % p != p - 1:
+        g += 1
+    a, b = p, r
+    while b * b > p:
+        a, b = b, a % b
+    return b, isqrt(p - b * b)
 
 
 def count_reps(z: int) -> int:

@@ -9,6 +9,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -157,17 +158,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     done = store.resolved_keys(args.out)
     unresolved = 0
-    for t in targets:
-        if (3, t) in done:
-            continue
-        t0 = time.perf_counter()
-        res = compute_C(3, t)
-        elapsed_ms = int((time.perf_counter() - t0) * 1000)
-        if res.reason is Reason.UNRESOLVED:
-            unresolved += 1
-            print(f"unresolved at t={t}", file=sys.stderr)
-        record = store.ResultRecord.from_result(res, elapsed_ms, args.shard_id)
-        store.append(args.out, record)
+    # the file opens at the first record, so a run with nothing left to do leaves it alone
+    with contextlib.ExitStack() as stack:
+        out = None
+        for t in targets:
+            if (3, t) in done:
+                continue
+            t0 = time.perf_counter()
+            res = compute_C(3, t)
+            elapsed_ms = int((time.perf_counter() - t0) * 1000)
+            if res.reason is Reason.UNRESOLVED:
+                unresolved += 1
+                print(f"unresolved at t={t}", file=sys.stderr)
+            record = store.ResultRecord.from_result(res, elapsed_ms, args.shard_id)
+            if out is None:
+                out = stack.enter_context(open(args.out, "a", encoding="utf-8"))
+            store.append(out, record)
     return EXIT_UNRESOLVED if unresolved else EXIT_OK
 
 

@@ -19,7 +19,7 @@ odd u up to umax = n / 2, with only slices of bool arrays, no division:
   filled in by strided slices, one 3^k level at a time.
 
 The odd primes up to sqrt(umax), at most 7,071 at the largest checkpoint,
-come from a sieve of Eratosthenes over the odd numbers on one bool array.
+come from arith.odd_primes, a sieve of Eratosthenes over the odd numbers.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from math import isqrt
 from typing import IO, Iterable, Sequence
 
 import numpy as np
+
+from .arith import odd_primes
 
 MAX_CHECKPOINT = 10**8
 BLOCK = 1 << 19  # odd u values per sieve block
@@ -47,18 +49,6 @@ class DensityRow:
     @property
     def g_decimal(self) -> str:
         return f"{float(self.g):.4f}"
-
-
-def _odd_primes(limit: int) -> list[int]:
-    """The odd primes p <= limit, increasing."""
-    # index i stands for 2i + 1; the odd multiples of p from p^2 on are struck
-    is_prime = np.ones((limit + 1) // 2, dtype=bool)
-    is_prime[:1] = False
-    for i in range(1, (isqrt(limit) + 1) // 2):
-        if is_prime[i]:
-            p = 2 * i + 1
-            is_prime[p * p // 2 :: p] = False
-    return (2 * np.flatnonzero(is_prime) + 1).tolist()
 
 
 def _first_multiple(u_lo: int, m: int) -> int:
@@ -117,7 +107,7 @@ def density_table(checkpoints: Sequence[int], workers: int = 1) -> list[DensityR
         raise ValueError(f"checkpoint {cps[-1]} exceeds limit {MAX_CHECKPOINT}")
 
     umax = cps[-1] // 2
-    primes = _odd_primes(isqrt(umax))
+    primes = odd_primes(isqrt(umax))
     blocks = [
         (lo, min(lo + 2 * BLOCK, umax + 1)) for lo in range(1, umax + 1, 2 * BLOCK)
     ]

@@ -11,7 +11,7 @@ import json
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 from .arith import reduce_mod4
 from .resolver import NONEXISTENT_REASONS, CmResult, Reason
@@ -145,12 +145,12 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def append(path: Path | str, record: ResultRecord) -> None:
-    """Append one record as one line; flushed before returning."""
+def append(out: IO[str], record: ResultRecord) -> None:
+    """Validate one record and write it to ``out``, a record file open for
+    appending, as one line; flushed before returning."""
     record.validate()
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(record.to_json() + "\n")
-        fh.flush()
+    out.write(record.to_json() + "\n")
+    out.flush()
 
 
 def load(path: Path | str) -> list[ResultRecord]:

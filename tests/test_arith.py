@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddcycles import arith
 from oddcycles.arith import (
     MAX_INPUT,
     STClass,
@@ -18,6 +19,7 @@ from oddcycles.arith import (
     enumerate_triples,
     factorize,
     four_square_decomposition,
+    odd_primes,
     reduce_mod4,
 )
 
@@ -93,6 +95,11 @@ P31 = sympy.prevprime(2**31)  # 2^31 - 1
 Q31 = sympy.prevprime(P31)
 R31 = sympy.prevprime(Q31)
 P_TOP = sympy.prevprime(isqrt(MAX_INPUT))  # the largest prime whose square fits
+
+
+def test_odd_primes_match_sympy():
+    for limit in range(5001):
+        assert odd_primes(limit) == list(sympy.primerange(3, limit + 1)), limit
 
 
 class TestFactorizeAgainstSympy:
@@ -227,7 +234,62 @@ def triples_up_to(limit: int) -> list[list[Triple]]:
     return out
 
 
+GRID_CELLS = 1 << 18  # (a, b) cells per block of triples_grid
+
+
+def triples_grid(z: int) -> list[Triple]:
+    """The numpy scan of the (a, b) grid that enumerate_triples once was.
+
+    Runs over the (a, b) grid in blocks of rows.  c is the square root of
+    rem = z - a^2 - b^2 in floating point, corrected by one step either way
+    in int64, so it is the exact integer square root and c^2 == rem is an
+    exact test.
+    """
+    b = np.arange(isqrt(z // 2) + 1, dtype=np.int64)
+    a_max = isqrt(z // 3)
+    rows = max(1, GRID_CELLS // len(b))
+    out: list[Triple] = []
+    for a0 in range(0, a_max + 1, rows):
+        a = np.arange(a0, min(a0 + rows, a_max + 1), dtype=np.int64)[:, None]
+        rem = z - a * a - b * b
+        ok = (b >= a) & (rem >= b * b)  # b <= c
+        c = np.sqrt(np.maximum(rem, 0)).astype(np.int64)
+        c -= c * c > rem
+        c += (c + 1) * (c + 1) <= rem
+        ok &= c * c == rem
+        ai, bi = np.nonzero(ok)
+        out += map(Triple, a[ai, 0].tolist(), b[bi].tolist(), c[ai, bi].tolist())
+    return out
+
+
+def prime_row(c: int, residue: int) -> int:
+    """z = c^2 + q for the largest prime q = residue (mod 4) with 3c^2 >= z:
+    the row of c is a prime above sqrt(z)."""
+    q = sympy.prevprime(2 * c * c + 1)
+    while q % 4 != residue:
+        q = sympy.prevprime(q)
+    assert q * q > c * c + q
+    return c * c + q
+
+
 SINGLE_ANCHORS = (2062, 2542, 2566, 3634, 4558, 4678, 7282, 8710, 99994, 999994)
+
+# Values where a branch of enumerate_triples changes or a factorization is
+# unusual, each compared with triples_grid.
+GRID_CASES = [
+    # the trial-prime table ends at 1024
+    1024**2 - 1, 1024**2, 1024**2 + 1, 1025**2,
+    # perfect squares: a row with n = 0
+    1, 4, 9, 10**6, 2187**2, 4321**2,
+    # powers of 2 and 2q^2 with q = 3 (mod 4)
+    2, 8, 2**20, 2**21, 2**23, 2 * 3**2, 2 * 7**2, 2 * 1019**2, 2 * 1031**2,
+    # a prime = 1 (mod 4) to a high power
+    2 * 5**10, 2 * 13**6 * 5**2,
+    # a row whose cofactor is a prime above sqrt(z)
+    prime_row(100, 1), prime_row(1000, 1), prime_row(1000, 3), prime_row(4099, 1),
+    # seeded values in (10^6, 10^8)
+    *random.Random(20261019).sample(range(10**6, 10**8), 5),
+]
 
 
 class TestEnumerateTriples:
@@ -264,6 +326,27 @@ class TestEnumerateTriples:
     @pytest.mark.parametrize("z", SINGLE_ANCHORS)
     def test_matches_loop_at_single_anchors(self, z):
         assert enumerate_triples(z) == triples_loop(z)
+
+    def test_numpy_rows_match_loop_on_every_z_to_20000(self, monkeypatch):
+        # the row count picks the numpy branch only from z of about 10^5 on
+        monkeypatch.setattr(arith, "_NUMPY_ROWS", 1)
+        for z, want in enumerate(triples_up_to(20000)):
+            if z:
+                got = enumerate_triples(z)
+                assert got == want, z
+                assert all(type(x) is int for tr in got for x in tr), z
+
+    @pytest.mark.parametrize("z", GRID_CASES)
+    def test_matches_grid(self, z):
+        assert enumerate_triples(z) == triples_grid(z)
+
+    def test_prime_split(self):
+        top = MAX_INPUT - 2  # the largest 63-bit prime = 1 (mod 4)
+        while not sympy.isprime(top):
+            top -= 4
+        for p in [p for p in odd_primes(10**5) if p % 4 == 1] + [top]:
+            x, y = arith._prime_split(p)
+            assert x * x + y * y == p, p
 
 
 def counts_up_to(limit: int) -> np.ndarray:

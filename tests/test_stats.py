@@ -110,11 +110,6 @@ class TestSieveBlock:
         assert density_table([2 * umax]) == whole
 
 
-def test_odd_primes_match_sympy():
-    for limit in range(5001):
-        assert stats._odd_primes(limit) == list(sympy.primerange(3, limit + 1)), limit
-
-
 class TestDensityTable:
     def test_hand_enumeration_n10(self):
         (row,) = density_table([10])

@@ -18,6 +18,12 @@ from oddcycles.store import (
     resolved_keys,
 )
 
+
+def append_to(path, record: ResultRecord) -> None:
+    with open(path, "a", encoding="utf-8") as fh:
+        append(fh, record)
+
+
 NINE_CYCLE_22 = (
     (-3, -3, 2), (-3, 2, -3), (-3, 2, 3), (-3, 2, 3),
     (2, -3, -3), (2, -3, -3), (2, -3, -3), (3, 3, 2), (3, 3, 2),
@@ -77,8 +83,8 @@ class TestRoundTrip:
 
     def test_append_then_load(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        append(path, record_22())
-        append(path, record_triangle(2, TRIANGLE_2))
+        append_to(path, record_22())
+        append_to(path, record_triangle(2, TRIANGLE_2))
         recs = load(path)
         assert recs == [record_22(), record_triangle(2, TRIANGLE_2)]
 
@@ -114,7 +120,7 @@ class TestFromResult:
 class TestValidation:
     def test_corrupted_coordinate_fails_at_line(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        append(path, record_triangle(2, TRIANGLE_2))
+        append_to(path, record_triangle(2, TRIANGLE_2))
         bad = record_22().to_json().replace("[-3,-3,2]", "[-3,-3,3]")
         with open(path, "a") as fh:
             fh.write(bad + "\n")
@@ -175,9 +181,9 @@ class TestValidation:
 
     def test_in_file_conflicting_duplicate(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        append(path, record_22())
+        append_to(path, record_22())
         forged = record_triangle(22, None, value=None, reason="Unresolved")
-        append(path, forged)
+        append_to(path, forged)
         with pytest.raises(RecordValidationError, match="conflicting"):
             load(path)
 
@@ -185,23 +191,23 @@ class TestValidation:
 class TestMerge:
     def test_disjoint_union(self, tmp_path):
         a, b, out = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "m.jsonl"))
-        append(a, record_22())
-        append(b, record_triangle(2, TRIANGLE_2))
+        append_to(a, record_22())
+        append_to(b, record_triangle(2, TRIANGLE_2))
         merged = merge([a, b], out)
         assert {(r.m, r.t) for r in merged} == {(3, 2), (3, 22)}
         assert load(out) == merged
 
     def test_identical_duplicates_collapse(self, tmp_path):
         a, b, out = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "m.jsonl"))
-        append(a, record_22())
-        append(b, record_22(shard_id=1, elapsed_ms=7))
+        append_to(a, record_22())
+        append_to(b, record_22(shard_id=1, elapsed_ms=7))
         merged = merge([a, b], out)
         assert len(merged) == 1
 
     def test_conflict_aborts_without_output(self, tmp_path):
         a, b, out = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "m.jsonl"))
-        append(a, record_22())
-        append(b, record_22(value=None, reason="Unresolved", certificate=None))
+        append_to(a, record_22())
+        append_to(b, record_22(value=None, reason="Unresolved", certificate=None))
         with pytest.raises(StoreConflictError):
             merge([a, b], out)
         assert not out.exists()
@@ -209,8 +215,8 @@ class TestMerge:
 
     def test_failed_write_leaves_output_untouched(self, tmp_path, monkeypatch):
         a, b, out = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "m.jsonl"))
-        append(a, record_22())
-        append(b, record_triangle(2, TRIANGLE_2))
+        append_to(a, record_22())
+        append_to(b, record_triangle(2, TRIANGLE_2))
         out.write_text("previous merge\n")
         before = out.read_bytes()
         real_to_json = ResultRecord.to_json
@@ -233,7 +239,7 @@ class TestMerge:
 
     def test_replaces_existing_output(self, tmp_path):
         a, out = tmp_path / "a.jsonl", tmp_path / "m.jsonl"
-        append(a, record_22())
+        append_to(a, record_22())
         out.write_text("previous merge\n")
         assert merge([a], out) == load(out) == [record_22()]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "m.jsonl"]
@@ -245,7 +251,7 @@ class TestResolvedKeys:
 
     def test_keys(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        append(path, record_22())
+        append_to(path, record_22())
         assert resolved_keys(path) == {(3, 22)}
 
 
@@ -253,7 +259,7 @@ class TestDropTornTail:
     def test_only_an_unterminated_last_line_is_cut(self, tmp_path):
         path = tmp_path / "out.jsonl"
         assert drop_torn_tail(path) is None
-        append(path, record_22())
+        append_to(path, record_22())
         whole = path.read_text()
         assert drop_torn_tail(path) is None and path.read_text() == whole
         with open(path, "a") as fh:
