@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 invalid arguments (a missing or unwritable file
-included) or refused work, 3 unresolved search, 4 verification or merge
-failure.  Machine-readable output goes to stdout or --out files;
-diagnostics go to stderr.
+included), refused work or a search over its memory budget, 3 unresolved
+search, 4 verification or merge failure.  Machine-readable output goes
+to stdout or --out files; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import sys
 import time
 from pathlib import Path
 
-from . import arith, stats, store, vectors
+from . import arith, search, stats, store, vectors
 from .resolver import CmResult, Reason, compute_C
-from .search import SearchMemoryError, brute_force, meet_in_middle, modified_five_cycle
+from .search import brute_force, meet_in_middle, modified_five_cycle
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,6 +69,8 @@ def cmd_vectors(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     if args.algo == "modified":
+        if args.length != 5:
+            raise ValueError(f"--algo modified searches length 5 only, got {args.length}")
         out = modified_five_cycle(args.t)
     else:
         vs = vectors.vector_set(args.t)
@@ -83,11 +85,14 @@ def cmd_search(args: argparse.Namespace) -> int:
                 return EXIT_USAGE
             out = brute_force(vs, args.length)
         else:
-            try:
-                out = meet_in_middle(vs, args.length)
-            except SearchMemoryError as exc:
-                print(f"memory budget exceeded: {exc}", file=sys.stderr)
-                return EXIT_USAGE
+            out = meet_in_middle(vs, args.length)
+    if out.budget_exceeded:
+        print(
+            f"memory budget exceeded: the left side at length {out.length_tried} "
+            f"is over {search.MEMORY_BUDGET} keys",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     print(f"t: {out.t}")
     print(f"length: {out.length_tried}")
     print(f"exhausted: {out.exhausted}")

@@ -67,9 +67,10 @@ def compute_C(m: int, r: int) -> CmResult:
         return CmResult(m, r, 3, Reason.TRIANGLE, triangle_cycle(core), core)
     except ValueError:
         pass
-    res = min_odd_cycle(core)
-    nodes = sum(out.nodes_examined for out in res.outcomes)
-    if res.unresolved:
+    outcomes = min_odd_cycle(core)
+    nodes = sum(out.nodes_examined for out in outcomes)
+    found = outcomes[-1].found
+    if found is None:
         return CmResult(m, r, None, Reason.UNRESOLVED, None, core, nodes)
-    return CmResult(m, r, res.n, Reason.SEARCHED, res.certificate, core, nodes)
+    return CmResult(m, r, len(found), Reason.SEARCHED, found, core, nodes)
 

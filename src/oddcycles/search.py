@@ -1,6 +1,7 @@
 """Cycle-finding engines over V(t).
 
-Three engines with a common outcome type:
+Three engines, each ending in one SearchOutcome: found, exhausted, or
+budget_exceeded:
 
 * brute_force        -- enumerate multisets of odd size n in index order,
                         with component-wise partial-sum pruning;
@@ -45,10 +46,10 @@ hit on V(t) would (for class T, a 5-cycle proves C_3 = 5); only the last
 stage, all of V(t), can show that no cycle of length n exists.  A subset
 stage whose left side is over MEMORY_BUDGET is skipped, and one that
 misses stops after probing min(full left side, MEMORY_BUDGET) keys, so a
-stage costs at most about what the full join would.  Only the full stage
-raises SearchMemoryError, which carries the keys the missed stages
-built: a stage hit can settle a value whose full left side is over
-budget.
+stage costs at most about what the full join would.  A full stage over
+MEMORY_BUDGET ends the call budget_exceeded, counting the keys the
+missed stages built: a stage hit can settle a value whose full left side
+is over budget.
 
 The kernel sorts the left side and probes it in chunks that start at
 _FIRST_CHUNK keys and double, so a hit among the first probes costs
@@ -61,7 +62,9 @@ For brute_force it counts index prefixes visited; the two are not
 comparable.  The engines run in one thread; parallel runs split a range
 of t into shards (`oddcycles run --shards`).  The limits are module
 constants read at call time: N_MAX, the longest length min_odd_cycle
-tries, and MEMORY_BUDGET, the most left-side keys one join may build.
+tries, and MEMORY_BUDGET, the most left-side keys one join may build; a
+join whose left side would pass it builds nothing and ends
+budget_exceeded.
 
 Every cycle an engine returns is re-verified internally before it escapes.
 """
@@ -80,14 +83,6 @@ from .vectors import LatticeVector, VectorSet, magnitude_sq, vector_set
 
 N_MAX = 13  # longest cycle the ladder tries
 MEMORY_BUDGET = 30_000_000  # left-side keys held at once, per engine call
-
-
-class SearchMemoryError(MemoryError):
-    """A full left side over MEMORY_BUDGET, after nodes_examined keys of missed stages."""
-
-    def __init__(self, message: str, nodes_examined: int = 0) -> None:
-        super().__init__(message)
-        self.nodes_examined = nodes_examined
 
 
 @dataclass(frozen=True)
@@ -133,6 +128,8 @@ def verify_cycle(c: OddCycle) -> CycleDiagnostics:
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """How one engine call ended: found, exhausted, or budget_exceeded."""
+
     t: int
     length_tried: int
     found: Optional[OddCycle]
@@ -473,9 +470,8 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
     last being all of V(t), until one has a hit.  A subset stage probes
     at most min(full left side, MEMORY_BUDGET) keys and is skipped when
     its left side is over MEMORY_BUDGET; a full left side over
-    MEMORY_BUDGET raises SearchMemoryError with the keys built so far.
-    Only the full stage can end exhausted.  nodes_examined counts the
-    keys built over all stages.
+    MEMORY_BUDGET ends the call budget_exceeded.  Only the full stage can
+    end exhausted.  nodes_examined counts the keys built over all stages.
     """
     _check_length(n)
     start = time.perf_counter()
@@ -496,10 +492,8 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
         size1 = len(sreps) * comb(len(idx) + h1 - 2, h1 - 1)
         if size1 > MEMORY_BUDGET:
             if last:
-                raise SearchMemoryError(
-                    f"{size1} left keys of size {h1} exceed budget {MEMORY_BUDGET}",
-                    nodes,
-                )
+                elapsed = time.perf_counter() - start
+                return SearchOutcome(vs.t, n, None, nodes, elapsed, budget_exceeded=True)
             continue
         cap = None if last else min(full, MEMORY_BUDGET)
         hit, built = _join(keys[idx], sreps, h1, h2, base, cap)
@@ -544,8 +538,10 @@ def modified_five_cycle(t: int) -> SearchOutcome:
     canon(2*r with a coordinate zeroed) for r in R.  The left side holds
     canon(r + v) for r in R and v in V(t); the probes are canon(s - v_k)
     for every target s and vector v_k.  nodes_examined counts the keys
-    built.  Exhaustion here means no 5-cycle *of that special form*
-    exists; it is not a proof that no 5-cycle exists at all.
+    built.  A left side of |R|*|V| keys over MEMORY_BUDGET is not built:
+    the call ends budget_exceeded with 0 nodes.  Exhaustion here means
+    no 5-cycle *of that special form* exists; it is not a proof that no
+    5-cycle exists at all.
     """
     if t % 4 != 2:
         raise ValueError(f"modified_five_cycle requires t = 2 (mod 4), got {t}")
@@ -554,6 +550,9 @@ def modified_five_cycle(t: int) -> SearchOutcome:
     nv = len(vs.vectors)
     if nv == 0:
         return SearchOutcome(t, 5, None, 0, time.perf_counter() - start)
+    if len(vs.reps) * nv > MEMORY_BUDGET:
+        elapsed = time.perf_counter() - start
+        return SearchOutcome(t, 5, None, 0, elapsed, budget_exceeded=True)
 
     base = _key_base(t, vs.coords, 3)
     keys = _keys(vs.coords, base)
@@ -582,42 +581,21 @@ def modified_five_cycle(t: int) -> SearchOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinOddCycle:
-    t: int
-    n: Optional[int]
-    certificate: Optional[OddCycle]
-    outcomes: tuple[SearchOutcome, ...]
+def min_odd_cycle(t: int) -> tuple[SearchOutcome, ...]:
+    """The meet_in_middle outcomes at odd lengths 5, 7, ... for t in class T.
 
-    @property
-    def unresolved(self) -> bool:
-        return self.n is None
-
-
-def min_odd_cycle(t: int) -> MinOddCycle:
-    """Minimum odd cycle length for t in class T, with certificate.
-
-    T membership puts the floor at 5, so meet_in_middle exhausts odd
-    lengths from 5 up until a cycle appears or N_MAX is passed
-    (unresolved).  V(t) is built once.  A length whose full left side
-    exceeds MEMORY_BUDGET, with no stage hit first, also ends the ladder
-    unresolved; its outcome has budget_exceeded set and counts the keys
-    its missed stages built.
+    T membership puts the floor at 5, so the ladder runs until an outcome
+    is not exhausted or N_MAX is passed; V(t) is built once.  The last
+    outcome's found is the minimum odd cycle, its certificate; None means
+    unresolved, either every length up to N_MAX exhausted or the last
+    length budget_exceeded.
     """
     if classify(t) is not STClass.T:
         raise ValueError(f"min_odd_cycle requires t in class T, got {t}")
     vs = vector_set(t)
     outcomes: list[SearchOutcome] = []
     for n in range(5, N_MAX + 1, 2):
-        start = time.perf_counter()
-        try:
-            out = meet_in_middle(vs, n)
-        except SearchMemoryError as exc:
-            nodes, elapsed = exc.nodes_examined, time.perf_counter() - start
-            out = SearchOutcome(t, n, None, nodes, elapsed, budget_exceeded=True)
-            outcomes.append(out)
+        outcomes.append(meet_in_middle(vs, n))
+        if not outcomes[-1].exhausted:
             break
-        outcomes.append(out)
-        if out.found is not None:
-            return MinOddCycle(t, n, out.found, tuple(outcomes))
-    return MinOddCycle(t, None, None, tuple(outcomes))
+    return tuple(outcomes)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Iterable, Optional, Sequence
 
-from .arith import reduce_mod4
+from .arith import STClass, classify, reduce_mod4
 from .resolver import NONEXISTENT_REASONS, CmResult, Reason
 from .search import OddCycle, verify_cycle
 
@@ -79,6 +79,17 @@ class ResultRecord:
             if reason is Reason.ODD_R and reduce_mod4(self.t)[0] % 2 == 0:
                 raise ValueError(f"reason OddR needs an odd core of t, got t={self.t}")
             return
+        if any(len(v) != self.m for v in self.certificate or ()):
+            raise ValueError(f"certificate vectors are not all in Z^{self.m}")
+        if reason is Reason.K4_CONSTRUCTION:
+            holds = self.m >= 4
+        else:
+            # at m = 3 the class of t's core decides: S has a triangle, T is searched
+            core = reduce_mod4(self.t)[0]
+            need = STClass.S if reason is Reason.TRIANGLE else STClass.T
+            holds = self.m == 3 and core % 2 == 0 and classify(core) is need
+        if not holds:
+            raise ValueError(f"reason {self.reason} does not hold at m={self.m}, t={self.t}")
         if reason is Reason.UNRESOLVED:
             if self.value is not None:
                 raise ValueError("unresolved record must have null value")
@@ -89,8 +100,6 @@ class ResultRecord:
             raise ValueError(f"reason {self.reason} requires a certificate")
         # For m >= 4 the certificate is a K4-derived 3-cycle at squared
         # magnitude r; verification is the same check.
-        if any(len(v) != self.m for v in self.certificate):
-            raise ValueError(f"certificate vectors are not all in Z^{self.m}")
         cycle = OddCycle.from_vectors(self.t, self.certificate)
         diag = verify_cycle(cycle)
         if not diag.valid:

@@ -11,10 +11,13 @@ from test_arith import LARGE_PAIRS
 
 from oddcycles import search
 from oddcycles.cli import main
-from oddcycles.constructions import k4_triangle
+from oddcycles.constructions import k4_triangle, triangle_cycle
 from oddcycles.resolver import Reason, compute_C
-from oddcycles.search import SearchMemoryError
+from oddcycles.search import SearchOutcome
 from oddcycles.store import ResultRecord, load
+
+# a 5-cycle of V(18); C_3(18) = 3 all the same
+FIVE_CYCLE_18 = ((-4, -1, -1), (-4, -1, -1), (1, 1, 4), (3, 0, -3), (4, 1, 1))
 
 
 def run(capsys, *argv):
@@ -47,15 +50,15 @@ class TestResolve:
         assert "error" in err
 
 
-class TestSearchMemoryError:
+class TestSearchOverBudget:
     """An engine over its memory budget gives an Unresolved result, exit 3."""
 
     @pytest.fixture(autouse=True)
     def over_budget(self, monkeypatch):
-        def raise_budget(vs, n):
-            raise SearchMemoryError(f"left side at n={n} exceeds budget")
+        def budget_outcome(vs, n):
+            return SearchOutcome(vs.t, n, None, 0, 0.0, budget_exceeded=True)
 
-        monkeypatch.setattr(search, "meet_in_middle", raise_budget)
+        monkeypatch.setattr(search, "meet_in_middle", budget_outcome)
 
     def test_compute_c_unresolved(self):
         res = compute_C(3, 10)
@@ -126,6 +129,19 @@ class TestSearch:
         code, _, err = run(capsys, "search", "1002", "--algo", "brute", "--length", "9")
         assert code == 2
         assert "refusing brute force" in err
+
+    @pytest.mark.parametrize("algo", ["modified", "mitm"])
+    def test_over_memory_budget(self, capsys, monkeypatch, algo):
+        # |R| * |V(1002)| = 4 * 192 left keys at length 5
+        monkeypatch.setattr(search, "MEMORY_BUDGET", 4 * 192 - 1)
+        code, out, err = run(capsys, "search", "1002", "--algo", algo)
+        assert code == 2 and out == ""
+        assert err == "memory budget exceeded: the left side at length 5 is over 767 keys\n"
+
+    def test_modified_refuses_other_lengths(self, capsys):
+        code, out, err = run(capsys, "search", "1002", "--algo", "modified", "--length", "7")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "length 5 only" in err
 
 
 class TestTableAndDensity:
@@ -246,7 +262,23 @@ class TestVerifyRunMerge:
         (dict(value=0, reason="Dim1"), "does not hold at m=3"),
         (dict(value=0, reason="Dim2"), "does not hold at m=3"),
         (dict(value=0, reason="OddR"), "odd core"),
-    ], ids=["z4_certificate", "dim1_at_m3", "dim2_at_m3", "oddr_even_core"])
+        # C_3(18) = 3, since 18 is class S, and C_5(18) = 3: a valid 5-cycle
+        # does not make either 5
+        (dict(t=18, value=5, reason="Searched", certificate=FIVE_CYCLE_18),
+         "does not hold at m=3, t=18"),
+        (dict(t=18, m=5, value=5, reason="Searched",
+              certificate=tuple(v + (0, 0) for v in FIVE_CYCLE_18)),
+         "does not hold at m=5, t=18"),
+        # 22 is class T: no triangle record can stand there
+        (dict(value=3, reason="Triangle", certificate=((1, 1, 0), (0, -1, -1), (-1, 0, 1))),
+         "does not hold at m=3, t=22"),
+        # a Z^3 triangle at 18 is a triangle, not the m >= 4 construction
+        (dict(t=18, value=3, reason="K4Construction", certificate=triangle_cycle(18).vectors),
+         "does not hold at m=3, t=18"),
+    ], ids=[
+        "z4_certificate", "dim1_at_m3", "dim2_at_m3", "oddr_even_core",
+        "searched_class_s", "searched_at_m5", "triangle_class_t", "k4_at_m3",
+    ])
     @pytest.mark.parametrize("command", ["verify", "merge", "run"])
     def test_forged_record(self, capsys, tmp_path, fields, message, command):
         forged = ResultRecord(**{

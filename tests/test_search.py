@@ -17,7 +17,6 @@ from oddcycles.search import (
     _FIRST_CHUNK,
     _LAST_CHUNK,
     OddCycle,
-    SearchMemoryError,
     _canon,
     _closing_pair,
     _first_hit,
@@ -195,8 +194,9 @@ class TestMeetInMiddle:
 
     def test_memory_budget_error(self, monkeypatch):
         monkeypatch.setattr(search, "MEMORY_BUDGET", 1000)
-        with pytest.raises(SearchMemoryError):
-            meet_in_middle(vector_set(1002), 9)
+        out = meet_in_middle(vector_set(1002), 9)
+        assert out.budget_exceeded and out.found is None and not out.exhausted
+        assert (out.length_tried, out.nodes_examined) == (9, 0)
 
     def test_budget_counts_quotient_left_keys(self, monkeypatch):
         # n = 5: the left side is canon(r + v), |R| * |V| keys before dedupe
@@ -206,8 +206,8 @@ class TestMeetInMiddle:
         monkeypatch.setattr(search, "MEMORY_BUDGET", size)
         assert meet_in_middle(vs, 5).nodes_examined >= size
         monkeypatch.setattr(search, "MEMORY_BUDGET", size - 1)
-        with pytest.raises(SearchMemoryError):
-            meet_in_middle(vs, 5)
+        out = meet_in_middle(vs, 5)
+        assert out.budget_exceeded and out.nodes_examined == 0
 
 
 class TestModifiedFiveCycle:
@@ -227,6 +227,17 @@ class TestModifiedFiveCycle:
     def test_rejects_wrong_residue(self):
         with pytest.raises(ValueError):
             modified_five_cycle(12)
+
+    def test_memory_budget_outcome(self, monkeypatch):
+        # the left side is canon(r + v), |R| * |V| = 4 * 192 keys at 1002
+        monkeypatch.setattr(search, "MEMORY_BUDGET", 4 * 192)
+        assert modified_five_cycle(1002).found is not None
+        built = []
+        monkeypatch.setattr(search, "_first_hit", lambda *a: built.append(a))
+        monkeypatch.setattr(search, "MEMORY_BUDGET", 4 * 192 - 1)
+        out = modified_five_cycle(1002)
+        assert out.budget_exceeded and out.found is None and not out.exhausted
+        assert (out.length_tried, out.nodes_examined, built) == (5, 0, [])
 
     def test_found_cycle_contains_closing_pair(self):
         out = modified_five_cycle(1002)
@@ -265,10 +276,9 @@ class TestModifiedFiveCycle:
 class TestMinOddCycle:
     @pytest.mark.parametrize("t,n", [(82, 7), (10, 5), (330, 7)])
     def test_known_minima(self, t, n):
-        res = min_odd_cycle(t)
-        assert res.n == n
-        assert verify_cycle(res.certificate).valid
-        assert len(res.certificate) == n
+        found = min_odd_cycle(t)[-1].found
+        assert verify_cycle(found).valid
+        assert len(found) == n
 
     def test_rejects_class_s(self):
         with pytest.raises(ValueError):
@@ -276,20 +286,20 @@ class TestMinOddCycle:
 
     def test_unresolved_below_ceiling(self, monkeypatch):
         monkeypatch.setattr(search, "N_MAX", 9)  # C_3(58) = 11
-        res = min_odd_cycle(58)
-        assert res.unresolved and res.n is None
-        assert [(o.length_tried, o.exhausted) for o in res.outcomes] == [
+        outcomes = min_odd_cycle(58)
+        assert outcomes[-1].found is None
+        assert [(o.length_tried, o.exhausted) for o in outcomes] == [
             (5, True), (7, True), (9, True),
         ]
 
     def test_memory_error_ends_ladder_unresolved(self, monkeypatch):
         def over_budget(vs, n):
-            raise SearchMemoryError("too many keys")
+            return search.SearchOutcome(vs.t, n, None, 7, 0.0, budget_exceeded=True)
 
         monkeypatch.setattr(search, "meet_in_middle", over_budget)
-        res = min_odd_cycle(10)
-        assert res.unresolved and res.n is None and res.certificate is None
-        assert [(o.length_tried, o.budget_exceeded) for o in res.outcomes] == [(5, True)]
+        outcomes = min_odd_cycle(10)
+        assert outcomes[-1].found is None
+        assert [(o.length_tried, o.budget_exceeded) for o in outcomes] == [(5, True)]
 
 
 class TestStages:
@@ -343,34 +353,34 @@ class TestStages:
             joins.clear()
             staged = min_odd_cycle(t)
             staged_values += any(nv < len(vector_set(t)) for nv, _ in joins)
-            assert staged.n == plain.n > 5, t
-            assert [(o.length_tried, o.exhausted) for o in staged.outcomes] == [
-                (o.length_tried, o.exhausted) for o in plain.outcomes
+            assert len(staged[-1].found) == len(plain[-1].found) > 5, t
+            assert [(o.length_tried, o.exhausted) for o in staged] == [
+                (o.length_tried, o.exhausted) for o in plain
             ], t
-            assert len(staged.certificate) == staged.n, t
-            assert verify_cycle(staged.certificate).valid, t
+            assert len(staged[-1].found) == staged[-1].length_tried, t
+            assert verify_cycle(staged[-1].found).valid, t
         assert staged_values == sum(len(enumerate_triples(t)) >= 2 for t in values) > 0
 
     def test_missed_stage_is_not_exhaustion(self, monkeypatch):
         # C_3(82) = 7, so the one-orbit stage at n = 5 misses; with the full
-        # left side over budget the call must raise, not end exhausted
+        # left side over budget the call must end budget_exceeded, not exhausted
         monkeypatch.setattr(search, "_FIRST_STAGE", 1)
         vs = vector_set(82)
         full = len(vs.reps) * len(vs)
         monkeypatch.setattr(search, "MEMORY_BUDGET", full - 1)
         joins = self.spy_on_join(monkeypatch)
-        with pytest.raises(SearchMemoryError) as exc:
-            meet_in_middle(vs, 5)
+        out = meet_in_middle(vs, 5)
+        assert out.budget_exceeded and out.found is None and not out.exhausted
         [(nv, built)] = joins
         assert nv < len(vs)
         assert built <= nv + full - 1  # one representative: nv left keys, capped probes
         # the budget outcome keeps the keys the missed stage built
-        assert exc.value.nodes_examined == built == 119
-        res = min_odd_cycle(82)
-        assert res.unresolved
+        assert out.nodes_examined == built == 119
+        outcomes = min_odd_cycle(82)
+        assert outcomes[-1].found is None
         assert [
             (o.length_tried, o.exhausted, o.budget_exceeded, o.nodes_examined)
-            for o in res.outcomes
+            for o in outcomes
         ] == [(5, False, True, built)]
 
     def test_stage_settles_a_value_over_budget(self, monkeypatch):
@@ -383,8 +393,8 @@ class TestStages:
         assert out.nodes_examined <= 32 * 1536 + 200_000
         # below the first stage's left side, 32 representatives * 1536 vectors
         monkeypatch.setattr(search, "MEMORY_BUDGET", 32 * 1536 - 1)
-        with pytest.raises(SearchMemoryError):
-            meet_in_middle(vs, 5)
+        out = meet_in_middle(vs, 5)
+        assert out.budget_exceeded and out.found is None and out.nodes_examined == 0
 
 
 class TestEngineAgreementSmall:
@@ -572,9 +582,10 @@ class TestPinnedCertificates:
         # the ladder starts at meet_in_middle n=5; the special form has no
         # 5-cycle at 2062, though MITM finds one
         assert modified_five_cycle(2062).exhausted
-        res = min_odd_cycle(2062)
-        assert [(o.length_tried, o.exhausted) for o in res.outcomes] == [(5, False)]
-        assert res.certificate.t == 2062 and len(res.certificate) == 5
-        assert res.certificate.vectors == (
+        outcomes = min_odd_cycle(2062)
+        assert [(o.length_tried, o.exhausted) for o in outcomes] == [(5, False)]
+        found = outcomes[-1].found
+        assert found.t == 2062 and len(found) == 5
+        assert found.vectors == (
             (-45, -6, -1), (-3, -42, 17), (-1, 6, -45), (10, 21, 39), (39, 21, -10),
         )
