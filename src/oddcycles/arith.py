@@ -156,6 +156,7 @@ def _rho(n: int) -> int:
             return g
 
 
+@lru_cache(maxsize=1 << 12)  # record validation classifies each record's core again
 def classify(t: int) -> STClass:
     """Classify t = 2 (mod 4) as S or T.
 

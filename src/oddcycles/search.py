@@ -51,20 +51,28 @@ MEMORY_BUDGET ends the call budget_exceeded, counting the keys the
 missed stages built: a stage hit can settle a value whose full left side
 is over budget.
 
-The kernel sorts the left side and probes it in chunks that start at
-_FIRST_CHUNK keys and double, so a hit among the first probes costs
-little; the probe side's multiset sums are built the same way, in chunks
-made as they are asked for.  The certificate is read back from the two
-row numbers (_unrank).  nodes_examined counts, for both joins, the
-quotient keys built and probed: the left side plus every probe chunk up
-to the one with the hit, summed over every stage meet_in_middle joined.
-For brute_force it counts index prefixes visited; the two are not
-comparable.  The engines run in one thread; parallel runs split a range
-of t into shards (`oddcycles run --shards`).  The limits are module
-constants read at call time: N_MAX, the longest length min_odd_cycle
-tries, and MEMORY_BUDGET, the most left-side keys one join may build; a
-join whose left side would pass it builds nothing and ends
-budget_exceeded.
+The kernel sorts the left side once and sets a filter of bool flags, at
+least 8 and under 16 per left key, at each left key's multiplicative
+hash (a Bloom filter with one hash function: Bloom, "Space/time
+trade-offs in hash coding with allowable errors", CACM 13, 1970).  It
+probes in chunks that start at _FIRST_CHUNK keys and double, so a hit
+among the first probes costs little; the probe side's multiset sums are
+built the same way, in chunks made as they are asked for.  A chunk is
+hashed and gathered from the filter, and only the probes it lets
+through, about 12% or fewer of those that miss, are looked up exactly
+by searchsorted into the sorted left side; no probe chunk is sorted.
+Keys use the power-of-two base of _key_base, so _canon reads digits with
+shifts and masks; one int64 key holds n = 5 up to t of about 1.2*10**11.
+The certificate is read back from the two row numbers (_unrank).
+nodes_examined counts, for both joins, the quotient keys built and
+probed: the left side plus every probe chunk up to the one with the hit,
+summed over every stage meet_in_middle joined.  For brute_force it
+counts index prefixes visited; the two are not comparable.  The engines
+run in one thread; parallel runs split a range of t into shards
+(`oddcycles run --shards`).  The limits are module constants read at
+call time: N_MAX, the longest length min_odd_cycle tries, and
+MEMORY_BUDGET, the most left-side keys one join may build; a join whose
+left side would pass it builds nothing and ends budget_exceeded.
 
 Every cycle an engine returns is re-verified internally before it escapes.
 """
@@ -72,6 +80,7 @@ Every cycle an engine returns is re-verified internally before it escapes.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -216,6 +225,8 @@ def brute_force(
 _FIRST_CHUNK = 2048  # probe keys, and sums, in the first chunk; each next doubles
 _LAST_CHUNK = 1 << 20  # ... up to this many probe keys
 _SUMS_CHUNK = 1 << 20  # ... and this many probe-side sums
+_CANON_BLOCK = 1 << 15  # keys _canon works on at once
+_HASH = np.uint64(0x9E3779B97F4A7C15)  # odd, about 2**64 / golden ratio
 _FIRST_STAGE = 32  # orbits in meet_in_middle's first subset stage; each next doubles
 
 
@@ -223,15 +234,19 @@ def _key_base(t: int, coords: np.ndarray, span: int) -> int:
     """Base B of the scalar keys for sums of up to `span` rows of coords,
     vectors of V(t).
 
-    B = 2*offset + 1 with offset = span * (largest coordinate), so every
-    such sum has coordinates in [-offset, offset]: balanced base-B digits,
-    whose key (x*B + y)*B + z is unique and below 2**61 in absolute value.
+    B = 2**bits with bits = (2*offset).bit_length() and offset = span *
+    (largest coordinate), so every such sum has coordinates in [-offset,
+    offset], inside [-B/2, B/2): signed base-B digits, whose key
+    (x*B + y)*B + z is unique.  3*bits <= 63, so the key with every digit
+    moved up by B/2 into [0, B) is at most 2**63 - 1, one int64.  At
+    n = 5 (span 3, offset <= 3*sqrt(t)) that holds up to t of about
+    1.2*10**11.
     """
     offset = span * int(np.abs(coords).max())
-    base = 2 * offset + 1
-    if base**3 > 2**62:
+    bits = (2 * offset).bit_length()
+    if 3 * bits > 63:
         raise ValueError(f"t={t} too large for scalar-key search")
-    return base
+    return 1 << bits
 
 
 def _keys(vecs: Sequence[Sequence[int]], base: int) -> np.ndarray:
@@ -246,26 +261,38 @@ def _keys(vecs: Sequence[Sequence[int]], base: int) -> np.ndarray:
 def _canon(keys: np.ndarray, base: int) -> np.ndarray:
     """Key of canon(w) for the sum w behind each key: |w|'s coordinates sorted.
 
-    The keys' sums must have coordinates in [-offset, offset], as
-    _key_base ensures; shifting by offset makes the base-B digits
-    nonnegative.  keys is overwritten.
+    The keys' sums must have coordinates in [-B/2, B/2), as _key_base
+    ensures; adding B/2 to every digit makes them nonnegative, so each is
+    read with a shift and a mask.  keys is overwritten with the result,
+    _CANON_BLOCK keys at a time, so the temporaries stay in cache.
     """
-    offset = (base - 1) // 2
-    keys += offset * (base * base + base + 1)
-    rest, z = np.divmod(keys, base)
-    x, y = np.divmod(rest, base)
-    for d in (x, y, z):
-        d -= offset
-        np.abs(d, out=d)
-    # a sorting network on three values
-    x, y = np.minimum(x, y), np.maximum(x, y)
-    y, z = np.minimum(y, z), np.maximum(y, z)
-    x, y = np.minimum(x, y), np.maximum(x, y)
-    x *= base
-    x += y
-    x *= base
-    x += z
-    return x
+    bits = base.bit_length() - 1
+    half = base >> 1
+    for lo in range(0, len(keys), _CANON_BLOCK):
+        x = keys[lo : lo + _CANON_BLOCK]
+        x += half * (base * base + base + 1)
+        z = x & (base - 1)
+        y = x >> bits
+        y &= base - 1
+        x >>= 2 * bits
+        for d in (x, y, z):
+            d -= half
+            np.abs(d, out=d)
+        # a sorting network on three values, through one spare buffer
+        s = np.minimum(x, y)
+        np.maximum(x, y, out=y)
+        s, x = x, s
+        np.minimum(y, z, out=s)
+        np.maximum(y, z, out=z)
+        s, y = y, s
+        np.minimum(x, y, out=s)
+        np.maximum(x, y, out=y)
+        # s, y, z hold the smallest, middle and largest; y is the slice of keys
+        y <<= bits
+        y |= z
+        s <<= 2 * bits
+        y |= s
+    return keys
 
 
 def _outer_canon(a: np.ndarray, b: np.ndarray, base: int) -> np.ndarray:
@@ -327,13 +354,22 @@ def _half_sums(keys: np.ndarray, h: int, seed_lo: int, seed_hi: int) -> np.ndarr
 
 def _unrank(nv: int, h: int, row: int) -> tuple[int, ...]:
     """Index tuple of row `row` of the h-multisets over [0, nv), in the row
-    order of _half_sums."""
+    order of _half_sums.
+
+    Each index is found by bisection: of the comb(nv - lo + k - 1, k)
+    k-multisets whose smallest index is at least lo, all but
+    comb(nv - i + k - 1, k) come before the first whose smallest is i.
+    """
     idx = []
     lo = 0
-    for left in range(h, 0, -1):
-        while row >= (cnt := _count_from(nv, left, lo)):
-            row -= cnt
-            lo += 1
+    for k in range(h, 0, -1):
+        above = comb(nv - lo + k - 1, k)
+
+        def before(i: int) -> int:
+            return above - comb(nv - i + k - 1, k)
+
+        lo = bisect_right(range(nv), row, lo=lo, key=before) - 1
+        row -= before(lo)
         idx.append(lo)
     return tuple(idx)
 
@@ -363,6 +399,14 @@ def _probe_chunks(
             size = min(2 * size, _LAST_CHUNK)
 
 
+def _hash(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Multiplicative hash of each int64 key into [0, 2**bits): the top
+    bits of key * _HASH mod 2**64."""
+    h = keys.view(np.uint64) * _HASH
+    h >>= np.uint64(64 - bits)
+    return h.view(np.int64)
+
+
 def _first_hit(
     left: np.ndarray, probes: Iterable[np.ndarray]
 ) -> tuple[Optional[tuple[int, int]], int]:
@@ -372,19 +416,29 @@ def _first_hit(
     built).  Probe rows count on across chunks; the left row is the first
     row holding that key.  Keys built are the left side plus every probe
     chunk up to the one with the hit.
+
+    A filter of 2**b flags, 2**b the least power of two >= 8*len(left),
+    so at most 16 bytes per left key, has the flag at each left key's
+    _hash set.  A probe whose flag is clear is in no left row; only the
+    others, at most about 1 - exp(-1/8) = 12% of the probes that miss,
+    are looked up exactly, by searchsorted into the sorted left side.
     """
+    bits = max(1, (8 * len(left) - 1).bit_length())
+    table = np.zeros(1 << bits, dtype=bool)
+    for lo in range(0, len(left), _LAST_CHUNK):  # a bounded hash temporary
+        table[_hash(left[lo : lo + _LAST_CHUNK], bits)] = True
     ordered = np.sort(left)
     nodes = len(left)
     row0 = 0
     for keys in probes:
         nodes += len(keys)
-        # searchsorted runs several times faster on sorted probes
-        probe = np.sort(keys)
-        idx = np.searchsorted(ordered, probe)
+        rows = np.flatnonzero(table[_hash(keys, bits)])
+        cand = keys[rows]
+        idx = np.searchsorted(ordered, cand)
         np.minimum(idx, len(ordered) - 1, out=idx)
-        common = probe[ordered[idx] == probe]
-        if len(common):
-            j = int(np.argmax(np.isin(keys, common)))
+        rows = rows[ordered[idx] == cand]
+        if len(rows):
+            j = int(rows[0])
             return (row0 + j, int(np.argmax(left == keys[j]))), nodes
         row0 += len(keys)
     return None, nodes

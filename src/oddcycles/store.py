@@ -71,6 +71,8 @@ class ResultRecord:
             reason = Reason(self.reason)
         except ValueError:
             raise ValueError(f"unknown reason {self.reason!r}") from None
+        if self.algorithm not in _ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if reason in NONEXISTENT_REASONS:
             if self.value != 0 or self.certificate is not None:
                 raise ValueError(f"reason {self.reason} requires value 0, no certificate")
@@ -91,8 +93,8 @@ class ResultRecord:
         if not holds:
             raise ValueError(f"reason {self.reason} does not hold at m={self.m}, t={self.t}")
         if reason is Reason.UNRESOLVED:
-            if self.value is not None:
-                raise ValueError("unresolved record must have null value")
+            if self.value is not None or self.certificate is not None:
+                raise ValueError("unresolved record must have null value and certificate")
             return
         if self.value is None or self.value < 3 or self.value % 2 == 0:
             raise ValueError(f"value {self.value} is not an odd integer >= 3")
@@ -147,6 +149,8 @@ _INT_FIELDS = (
     "schema_version", "t", "m", "value", "elapsed_ms", "nodes_examined", "shard_id",
     "worker_count",
 )
+
+_ALGORITHMS = ("closed-form", "modified+meet-in-middle")  # schema v1's labels
 
 
 def _is_int(x: object) -> bool:

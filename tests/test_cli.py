@@ -275,9 +275,15 @@ class TestVerifyRunMerge:
         # a Z^3 triangle at 18 is a triangle, not the m >= 4 construction
         (dict(t=18, value=3, reason="K4Construction", certificate=triangle_cycle(18).vectors),
          "does not hold at m=3, t=18"),
+        # an unresolved value has nothing to certify
+        (dict(value=None, reason="Unresolved", certificate=((1, 2, 3),)),
+         "null value and certificate"),
+        # schema v1 knows two labels
+        (dict(value=None, reason="Unresolved", algorithm="x"), "unknown algorithm 'x'"),
     ], ids=[
         "z4_certificate", "dim1_at_m3", "dim2_at_m3", "oddr_even_core",
         "searched_class_s", "searched_at_m5", "triangle_class_t", "k4_at_m3",
+        "unresolved_with_certificate", "unknown_algorithm",
     ])
     @pytest.mark.parametrize("command", ["verify", "merge", "run"])
     def test_forged_record(self, capsys, tmp_path, fields, message, command):

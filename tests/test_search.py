@@ -2,6 +2,7 @@
 
 import csv
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations_with_replacement, permutations, product
@@ -410,11 +411,118 @@ class TestEngineAgreementSmall:
             assert bf.exhausted == mm.exhausted, (t, n)
 
 
+def unrank_by_scan(nv: int, h: int, row: int) -> tuple[int, ...]:
+    """_unrank by skipping one smallest index at a time: the slow reference."""
+    idx = []
+    lo = 0
+    for k in range(h, 0, -1):
+        # k-multisets over [lo, nv) whose smallest index is lo
+        while row >= (cnt := comb(nv - lo + k - 2, k - 1)):
+            row -= cnt
+            lo += 1
+        idx.append(lo)
+    return tuple(idx)
+
+
+def sorted_first_hit(left: np.ndarray, probes) -> tuple:
+    """_first_hit by sorting each probe chunk: the reference for the filter."""
+    ordered = np.sort(left)
+    nodes = len(left)
+    row0 = 0
+    for keys in probes:
+        nodes += len(keys)
+        probe = np.sort(keys)
+        idx = np.searchsorted(ordered, probe)
+        np.minimum(idx, len(ordered) - 1, out=idx)
+        common = probe[ordered[idx] == probe]
+        if len(common):
+            j = int(np.argmax(np.isin(keys, common)))
+            return (row0 + j, int(np.argmax(left == keys[j]))), nodes
+        row0 += len(keys)
+    return None, nodes
+
+
+class TestFirstHitFilter:
+    """_first_hit returns what sorting every probe chunk would."""
+
+    SIZES = (64, 128, 256, 512, 1024)  # probe chunks, doubling as _probe_chunks' do
+
+    @staticmethod
+    def stream(rng, left, pool, plants):
+        """Probe chunks of SIZES drawn from pool (no key of left), with
+        left keys planted at the probe rows in plants."""
+        probes = rng.choice(pool[~np.isin(pool, left)], sum(TestFirstHitFilter.SIZES))
+        probes[plants] = rng.choice(left, len(plants))
+        return np.split(probes, np.cumsum(TestFirstHitFilter.SIZES)[:-1])
+
+    @pytest.mark.parametrize("case", [
+        "no_hit", "first_chunk", "later_chunk", "several_in_chunk",
+        "repeated_left", "one_key_left", "largest_base",
+    ])
+    def test_matches_sort_oracle(self, case):
+        rng = np.random.default_rng(sum(map(ord, case)))
+        ends = np.cumsum((0,) + self.SIZES)
+        for _ in range(20):
+            left = rng.integers(-(2**62), 2**62, 3000)
+            pool = rng.integers(-(2**62), 2**62, 5000)
+            plants = []
+            if case == "first_chunk":
+                plants = [rng.integers(ends[1])]
+            elif case == "later_chunk":
+                k = rng.integers(1, len(self.SIZES))
+                plants = [rng.integers(ends[k], ends[k + 1])]
+            elif case == "several_in_chunk":
+                k = rng.integers(len(self.SIZES))
+                plants = rng.choice(np.arange(ends[k], ends[k + 1]), 4, replace=False)
+            elif case == "repeated_left":
+                left = rng.integers(-40, 40, 300)  # every key about 4 times
+                pool = np.arange(-200, 200)
+                plants = rng.choice(ends[-1], 3, replace=False)
+            elif case == "one_key_left":
+                left = left[:1]
+                plants = rng.choice(ends[-1], rng.integers(0, 3), replace=False)
+            elif case == "largest_base":
+                # raw and canon keys of sums with digits up to offset = B/2 - 1
+                base = 2**21
+                offset = base // 2 - 1
+                digits = rng.integers(-offset, offset + 1, (8000, 3))
+                digits[rng.random((8000, 3)) < 0.3] = offset
+                digits[rng.random((8000, 3)) < 0.3] = -offset
+                keys = _keys(digits, base)
+                if rng.random() < 0.5:
+                    keys = _canon(keys, base)
+                left, pool = keys[:3000], keys[3000:]
+                plants = rng.choice(ends[-1], rng.integers(0, 3), replace=False)
+            chunks = self.stream(rng, left, pool, plants)
+            got = _first_hit(left, iter(chunks))
+            assert got == sorted_first_hit(left, iter(chunks)), case
+            # the planted keys are the only hits: the first of them wins
+            first = min(plants, default=None)
+            assert (None if got[0] is None else got[0][0]) == first, case
+            if got[0] is not None:
+                j, i = got[0]
+                assert left[i] == np.concatenate(chunks)[j] and left[i] not in left[:i]
+
+
 class TestJoinKernel:
-    @pytest.mark.parametrize("nv,h", [(1, 1), (1, 4), (5, 1), (4, 2), (5, 3), (3, 5), (6, 4)])
+    @pytest.mark.parametrize("nv,h", [
+        (1, 1), (1, 4), (5, 1), (4, 2), (5, 3), (3, 5), (6, 4),
+        *((6048, h) for h in range(1, 7)),  # |V(999994)|
+    ])
     def test_unrank_is_lexicographic(self, nv, h):
-        expected = list(combinations_with_replacement(range(nv), h))
-        assert [_unrank(nv, h, row) for row in range(len(expected))] == expected
+        total = comb(nv + h - 1, h)
+        if total <= 10**4:
+            expected = list(combinations_with_replacement(range(nv), h))
+            assert [_unrank(nv, h, row) for row in range(total)] == expected
+            return
+        assert _unrank(nv, h, 0) == (0,) * h
+        assert _unrank(nv, h, total - 1) == (nv - 1,) * h
+        rng = random.Random(nv * 10 + h)
+        rows = [0, 1, total - 2, total - 1, *(rng.randrange(total) for _ in range(20))]
+        for row in rows:
+            assert _unrank(nv, h, row) == unrank_by_scan(nv, h, row), row
+        rows.sort()
+        assert [_unrank(nv, h, r) for r in rows] == sorted(unrank_by_scan(nv, h, r) for r in rows)
 
     @pytest.mark.parametrize(
         "nv,h,target", [(5, 2, 4), (6, 3, 10), (7, 4, 1), (4, 3, 100), (30, 2, 8)]
@@ -442,14 +550,17 @@ class TestJoinKernel:
         assert row0 == comb(nv + h - 1, h)
 
     def test_key_of_sum_at_largest_base(self):
-        # the largest odd base the guard admits, at span 3 (modified engine)
-        base = 1664509
-        assert base**3 <= 2**62 < (base + 2) ** 3
-        offset = (base - 1) // 2
+        # the largest power-of-two base the guard admits, at span 3
+        # (modified engine): 3 * bits <= 63, and sums reach -offset and
+        # offset = B/2 - 1, the widest digits below B/2
+        base = 2**21
+        assert base**3 <= 2**63 < (2 * base) ** 3
+        offset = base // 2 - 1
         c = offset // 3
         assert 3 * c == offset
         vecs = ((c, -c, c), (c, -c, 0), (-c, c, -c), (0, c, -c), (c, 0, c))
         assert _key_base(0, np.array(vecs), 3) == base
+        # one more, and 2*offset needs a 22nd bit
         with pytest.raises(ValueError, match="too large"):
             _key_base(0, np.array(vecs + ((c + 1, 0, 0),)), 3)
 
@@ -494,8 +605,14 @@ class TestJoinKernel:
             assert got.tolist() == want.tolist()
 
     def test_canon_at_largest_base(self):
-        base = 1664509
-        offset = (base - 1) // 2
+        # with every digit moved up by B/2, (offset, offset, offset) is 2**63 - 1
+        base = 2**21
+        offset = base // 2 - 1
+        assert _key_base(0, np.array([[offset, 0, 0]]), 1) == base
+        with pytest.raises(ValueError, match="too large"):
+            _key_base(0, np.array([[offset + 1, 0, 0]]), 1)
+        top = (offset * base + offset) * base + offset
+        assert top + base // 2 * (base * base + base + 1) == 2**63 - 1
         ends = (-offset, -1, 0, 1, offset)
         points = [(x, y, z) for x in ends for y in ends for z in ends]
         got = _canon(_keys(points, base), base)
@@ -531,7 +648,8 @@ class TestJoinKernel:
 
     def test_probe_chunk_rows_and_sizes(self):
         rng = np.random.default_rng(5)
-        base = 101
+        base = 64  # the sums' coordinates lie in [-30, 30], inside [-32, 32)
+        assert _key_base(0, np.array([[30, 0, 0]]), 1) == base
         bvecs = rng.integers(-10, 11, size=(7, 3))
         avecs = [rng.integers(-20, 21, size=(m, 3)) for m in (3, 900, 5000)]
         arrays = [_keys(a, base) for a in avecs]
