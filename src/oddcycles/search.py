@@ -20,36 +20,41 @@ of its vectors' keys; _half_sums builds them in lexicographic index order.
 canon(w) sorts the absolute values of w's coordinates, and _canon turns a
 sum's key into the key of canon(sum).
 
-Why the quotient is sound.  Let U be V(t) or any union of B3 orbits of
-V(t), and R_U the representatives in U.  U is closed under B3, so the set
-W_h of h-multiset sums over U is too, and w is in W_h iff canon(w) is in
-canon(W_h).  Every orbit of U meets R_U, so canon(W_h) =
-canon(R_U + W_{h-1}): the left side holds those keys, about |R_U|/|U| =
-1/48 of all h-multisets.  A zero-sum multiset over U can be moved by some
-g in B3 so that it contains a vector of R_U, and g maps U onto itself, so
-without loss of generality every cycle contains a representative: MITM
-probes canon(r + Q) for r in R_U and Q an (h2-1)-multiset over U, and the
-modified engine probes one closing target per orbit (orbit reduction, as
-in McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
-A hit says canon(left sum) = canon(probe sum); _signed_perm finds g in B3
-with g(left sum) = -(probe sum), and g(left vectors) plus the probe's
-vectors is the certificate.  brute_force keeps no quotient: it is the
-independent oracle.
+Why the quotient is sound.  V(t) is closed under B3, so the set W_h of
+h-multiset sums over V(t) is too, and w is in W_h iff canon(w) is in
+canon(W_h).  Every orbit meets R, the representatives 0 <= x <= y <= z,
+so canon(W_h) = canon(R + W_{h-1}): the left side holds those keys, about
+|R|/|V| = 1/48 of all h-multisets.  A zero-sum multiset can be moved by
+some g in B3 so that it contains a vector of R, so without loss of
+generality every cycle contains a representative: MITM probes
+canon(r + Q) for r in R and Q an (h2-1)-multiset, and the modified engine
+probes one closing target per orbit (orbit reduction, as in McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  A hit
+says canon(left sum) = canon(probe sum); _signed_perm finds g in B3 with
+g(left sum) = -(probe sum), and g(left vectors) plus the probe's vectors
+is the certificate.  brute_force keeps no quotient: it is the independent
+oracle.
 
-Staged joins.  Any cycle over a union of orbits U is a cycle over V(t),
-so meet_in_middle first joins a few such U, then V(t) itself (_stages):
-stage k is the union of the orbits of k triples spread evenly over R,
-for k = 32, 64, ... while 2k <= |R|, so the stages depend on t alone and
-none runs while |R| < 64; a stage is read from VectorSet.orbit.  A cycle
-found on a stage is a cycle of V(t), so it settles length n just as a
-hit on V(t) would (for class T, a 5-cycle proves C_3 = 5); only the last
-stage, all of V(t), can show that no cycle of length n exists.  A subset
-stage whose left side is over MEMORY_BUDGET is skipped, and one that
-misses stops after probing min(full left side, MEMORY_BUDGET) keys, so a
-stage costs at most about what the full join would.  A full stage over
-MEMORY_BUDGET ends the call budget_exceeded, counting the keys the
-missed stages built: a stage hit can settle a value whose full left side
-is over budget.
+Certify rounds.  A hit needs no more than a left side of canon(r + M) for
+*some* representatives r: g(r + M) + (r' + Q) = 0 is a cycle of V(t)
+whichever r it holds, so it settles length n as a hit of the full join
+would (for class T, a 5-cycle proves C_3 = 5).  So meet_in_middle first
+runs certify rounds: round k puts the k representatives at positions
+i*|R|//k of R on the left, for k = _FIRST_LEFT, 2*_FIRST_LEFT, ... while
+_FIRST_LEFT*k <= |R|, so the rounds depend on t alone and none runs while
+|R| < 64; the probes are the full join's, in its order.  The last round
+is the full join, k = |R|, and only it can show that no cycle of length
+n exists.  A certify round stops after probing as many keys as its left
+side holds, which balances the two sides of a collision search as in van
+Oorschot and Wiener, "Parallel collision search with cryptanalytic
+applications", J. Cryptology 12, 1999.  With P = comb(|V| + h1 - 2,
+h1 - 1) left keys per representative, round k builds at most 2kP keys,
+and k <= |R|/_FIRST_LEFT = |R|/8, so the missed rounds together build at
+most 2P(|R|/8 + |R|/16 + ...) <= |R|P/2 keys, half the full join's left
+side.  A round whose left side is over MEMORY_BUDGET ends the call
+budget_exceeded, counting the keys the missed rounds built, since every
+later round is larger: a round hit can settle a value whose full left
+side is over budget.
 
 The kernel sorts the left side once and sets a filter of bool flags, at
 least 8 and under 16 per left key, at each left key's multiplicative
@@ -66,13 +71,13 @@ shifts and masks; one int64 key holds n = 5 up to t of about 1.2*10**11.
 The certificate is read back from the two row numbers (_unrank).
 nodes_examined counts, for both joins, the quotient keys built and
 probed: the left side plus every probe chunk up to the one with the hit,
-summed over every stage meet_in_middle joined.  For brute_force it
+summed over every round meet_in_middle ran.  For brute_force it
 counts index prefixes visited; the two are not comparable.  The engines
 run in one thread; parallel runs split a range of t into shards
 (`oddcycles run --shards`).  The limits are module constants read at
 call time: N_MAX, the longest length min_odd_cycle tries, and
-MEMORY_BUDGET, the most left-side keys one join may build; a join whose
-left side would pass it builds nothing and ends budget_exceeded.
+MEMORY_BUDGET, the most left-side keys one join round may build; a round
+whose left side would pass it builds nothing and ends budget_exceeded.
 
 Every cycle an engine returns is re-verified internally before it escapes.
 """
@@ -227,7 +232,7 @@ _LAST_CHUNK = 1 << 20  # ... up to this many probe keys
 _SUMS_CHUNK = 1 << 20  # ... and this many probe-side sums
 _CANON_BLOCK = 1 << 15  # keys _canon works on at once
 _HASH = np.uint64(0x9E3779B97F4A7C15)  # odd, about 2**64 / golden ratio
-_FIRST_STAGE = 32  # orbits in meet_in_middle's first subset stage; each next doubles
+_FIRST_LEFT = 8  # representatives on the left of meet_in_middle's first certify round
 
 
 def _key_base(t: int, coords: np.ndarray, span: int) -> int:
@@ -444,26 +449,6 @@ def _first_hit(
     return None, nodes
 
 
-def _stages(vs: VectorSet) -> list[np.ndarray]:
-    """The B3-closed vector sets meet_in_middle joins, as indices into V(t).
-
-    Stage k is the union of the orbits of k triples taken evenly from R,
-    at positions i*|R|//k, for k = _FIRST_STAGE, 2*_FIRST_STAGE, ... while
-    2k <= |R|; the last stage is all of V(t).  Membership is read from
-    vs.orbit.
-    """
-    nr = len(vs.reps)
-    stages = []
-    k = _FIRST_STAGE
-    while 2 * k <= nr:
-        chosen = np.zeros(nr, dtype=bool)
-        chosen[np.arange(k) * nr // k] = True
-        stages.append(np.flatnonzero(chosen[vs.orbit]))
-        k *= 2
-    stages.append(np.arange(len(vs)))
-    return stages
-
-
 def _signed_perm(
     src: Sequence[int], dst: Sequence[int]
 ) -> Callable[[Sequence[int]], LatticeVector]:
@@ -499,33 +484,39 @@ def _rebuild(
 
 
 def _join(
-    keys: np.ndarray, reps: np.ndarray, h1: int, h2: int, base: int, cap: Optional[int]
+    keys: np.ndarray,
+    left_reps: np.ndarray,
+    reps: np.ndarray,
+    h1: int,
+    h2: int,
+    base: int,
+    cap: Optional[int],
 ) -> tuple[Optional[tuple[int, int]], int]:
-    """_first_hit of the quotient join over one B3-closed vector set.
+    """_first_hit of the quotient join over V(t); keys are its vectors' keys.
 
-    keys are the set's vectors and reps the indices of its representatives.
-    The left side holds canon(r + M) for every r in reps and (h1-1)-multiset
-    M, at row (M's row)*len(reps) + r's position; the probes are
-    canon(r + Q) for (h2-1)-multisets Q, rowed the same way, at most cap
-    of them.
+    The left side holds canon(r + M) for every r in left_reps and
+    (h1-1)-multiset M, at row (M's row)*len(left_reps) + r's position; the
+    probes are canon(r + Q) for every r in reps and (h2-1)-multiset Q,
+    at row (Q's row)*len(reps) + r's position, at most cap of them.
+    left_reps and reps index V(t).
     """
     nv = len(keys)
-    rkeys = keys[reps]
-    left = _outer_canon(_half_sums(keys, h1 - 1, 0, nv), rkeys, base)
+    left = _outer_canon(_half_sums(keys, h1 - 1, 0, nv), keys[left_reps], base)
     sums = (_half_sums(keys, h2 - 1, lo, hi) for lo, hi in _seed_chunks(nv, h2 - 1))
-    return _first_hit(left, _probe_chunks(sums, rkeys, base, cap))
+    return _first_hit(left, _probe_chunks(sums, keys[reps], base, cap))
 
 
 def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
     """Join of half-length partial sums on B3 orbits; same contract as brute_force.
 
     vs must be a whole V(t), closed under B3.  With h1 = floor(n/2) and
-    h2 = ceil(n/2), the join runs on each of _stages(V(t)) in turn, the
-    last being all of V(t), until one has a hit.  A subset stage probes
-    at most min(full left side, MEMORY_BUDGET) keys and is skipped when
-    its left side is over MEMORY_BUDGET; a full left side over
-    MEMORY_BUDGET ends the call budget_exceeded.  Only the full stage can
-    end exhausted.  nodes_examined counts the keys built over all stages.
+    h2 = ceil(n/2), the join runs in rounds until one has a hit: certify
+    rounds with k = _FIRST_LEFT, 2*_FIRST_LEFT, ... representatives on the
+    left while _FIRST_LEFT*k <= |R|, each probing at most its left side's
+    number of keys, then the full join with all of R on the left.  A
+    round whose left side is over MEMORY_BUDGET ends the call
+    budget_exceeded; only the full join can end exhausted.
+    nodes_examined counts the keys built, summed over every round.
     """
     _check_length(n)
     start = time.perf_counter()
@@ -536,29 +527,30 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
     h1, h2 = n // 2, n - n // 2
     base = _key_base(vs.t, vs.coords, h2)
     keys = _keys(vs.coords, base)
-    is_rep = vs.reps[vs.orbit] == np.arange(nv)  # each orbit's triple
-    full = len(vs.reps) * comb(nv + h1 - 2, h1 - 1)
+    reps = vs.reps
+    nr = len(reps)
+    per_rep = comb(nv + h1 - 2, h1 - 1)  # left keys per representative
+    rounds = []  # (k, probe cap); None marks the full join
+    k = _FIRST_LEFT
+    while _FIRST_LEFT * k <= nr:
+        rounds.append((k, k * per_rep))
+        k *= 2
+    rounds.append((nr, None))
     nodes = 0
-    stages = _stages(vs)
-    for idx in stages:
-        last = idx is stages[-1]
-        sreps = np.flatnonzero(is_rep[idx])
-        size1 = len(sreps) * comb(len(idx) + h1 - 2, h1 - 1)
-        if size1 > MEMORY_BUDGET:
-            if last:
-                elapsed = time.perf_counter() - start
-                return SearchOutcome(vs.t, n, None, nodes, elapsed, budget_exceeded=True)
-            continue
-        cap = None if last else min(full, MEMORY_BUDGET)
-        hit, built = _join(keys[idx], sreps, h1, h2, base, cap)
+    for k, cap in rounds:
+        if k * per_rep > MEMORY_BUDGET:
+            elapsed = time.perf_counter() - start
+            return SearchOutcome(vs.t, n, None, nodes, elapsed, budget_exceeded=True)
+        left_reps = reps[np.arange(k) * nr // k]
+        hit, built = _join(keys, left_reps, reps, h1, h2, base, cap)
         nodes += built
         if hit is None:
             continue
-        (row2, j), (row1, i) = (divmod(row, len(sreps)) for row in hit)
-        left = idx[[sreps[i], *_unrank(len(idx), h1 - 1, row1)]]
-        probe = idx[[sreps[j], *_unrank(len(idx), h2 - 1, row2)]]
+        (row2, j), (row1, i) = divmod(hit[0], nr), divmod(hit[1], k)
+        left = [left_reps[i], *_unrank(nv, h1 - 1, row1)]
+        probe = [reps[j], *_unrank(nv, h2 - 1, row2)]
         vecs = vs.vectors
-        cycle = _rebuild(vs.t, [vecs[k] for k in left], [vecs[k] for k in probe])
+        cycle = _rebuild(vs.t, [vecs[x] for x in left], [vecs[x] for x in probe])
         return SearchOutcome(vs.t, n, cycle, nodes, time.perf_counter() - start)
     return SearchOutcome(vs.t, n, None, nodes, time.perf_counter() - start)
 

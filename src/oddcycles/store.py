@@ -115,10 +115,10 @@ class ResultRecord:
     def from_result(res: CmResult, elapsed_ms: int, shard_id: int) -> "ResultRecord":
         """The schema-v1 record of one compute_C result."""
         cert = None if res.certificate is None else tuple(res.certificate.vectors)
-        # "modified+meet-in-middle" is schema v1's label for a searched value
-        algorithm = (
-            "modified+meet-in-middle" if res.reason is Reason.SEARCHED else "closed-form"
-        )
+        # "modified+meet-in-middle" is schema v1's label for a value a search
+        # settled or left unresolved
+        searched = res.reason in (Reason.SEARCHED, Reason.UNRESOLVED)
+        algorithm = "modified+meet-in-middle" if searched else "closed-form"
         return ResultRecord(
             t=res.r,
             m=res.m,

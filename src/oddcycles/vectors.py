@@ -3,8 +3,8 @@
 vector_set applies B3, the 48 signed coordinate permutations, to every
 triple of R = enumerate_triples(t) in one numpy pass, sorts the images
 with np.lexsort over the columns and drops repeated rows.  The sort keys
-are the coordinates themselves, so it has no bound to overflow; each
-image keeps its triple's index, so the orbits come out of the same pass.
+are the coordinates themselves, so it has no bound to overflow; the
+position of each triple in V(t) comes out of the same pass.
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ def magnitude_sq(v: LatticeVector) -> int:
 class VectorSet:
     """Deduplicated, lexicographically sorted vectors of squared magnitude t.
 
-    coords[j] is vectors[j] as an int64 row; orbit[j] is the index in R of
-    the triple whose orbit holds it; reps[i] is the position of triple i.
+    coords[j] is vectors[j] as an int64 row; reps[i] is the position of
+    triple i of R.
     """
 
     t: int
     vectors: tuple[LatticeVector, ...]
     coords: np.ndarray = field(compare=False, repr=False)
-    orbit: np.ndarray = field(compare=False, repr=False)
     reps: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self) -> int:
@@ -47,7 +46,7 @@ class VectorSet:
 
 
 def vector_set(t: int) -> VectorSet:
-    """Build V(t), every Z^3 vector with squared magnitude exactly t, and its orbits."""
+    """Build V(t), every Z^3 vector with squared magnitude exactly t, and R in it."""
     triples = np.array(enumerate_triples(t), dtype=np.int64).reshape(-1, 3)
     # row 48*i + 8*p + s is triple i, permuted by _PERMS[p] and signed by _SIGNS[s]
     images = (triples[:, _PERMS][:, :, None] * _SIGNS[None, None]).reshape(-1, 3)
@@ -57,9 +56,9 @@ def vector_set(t: int) -> VectorSet:
     keep[1:] = (images[1:] != images[:-1]).any(axis=1)
     # a repeat is an image of the same triple and the sort is stable, so row
     # 48*i, triple i itself, is kept; R is lexicographic as V is, so reps ascends
-    coords, source = images[keep], order[keep]
-    reps = np.flatnonzero(source % 48 == 0)
-    return VectorSet(t, tuple(zip(*coords.T.tolist())), coords, source // 48, reps)
+    coords = images[keep]
+    reps = np.flatnonzero(order[keep] % 48 == 0)
+    return VectorSet(t, tuple(zip(*coords.T.tolist())), coords, reps)
 
 
 def search_space_size(n_vectors: int, cycle_len: int) -> int:

@@ -107,8 +107,8 @@ class TestRangeGuard:
             assert verify_cycle(res.certificate).valid, t
 
 
-class TestStagedRange:
-    """Class-T values with at least 64 triples: meet_in_middle's subset stages run."""
+class TestCertifyRoundRange:
+    """Class-T values with at least 64 triples: meet_in_middle's certify rounds run."""
 
     def test_seeded_sample_resolves_to_five(self):
         rng = random.Random(64)

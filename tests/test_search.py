@@ -14,6 +14,7 @@ import pytest
 
 from oddcycles import search
 from oddcycles.arith import STClass, classify, enumerate_triples
+from oddcycles.resolver import compute_C
 from oddcycles.search import (
     _FIRST_CHUNK,
     _LAST_CHUNK,
@@ -28,7 +29,6 @@ from oddcycles.search import (
     _rebuild,
     _seed_chunks,
     _signed_perm,
-    _stages,
     _unrank,
     brute_force,
     meet_in_middle,
@@ -124,7 +124,7 @@ class TestBruteForce:
         # prefix passes the bound |partial sum| <= (n - length) * isqrt(t)
         # in each coordinate; a prefix that fails it is visited but cut.
         rows = ((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, -1))  # not closed under B3
-        toy = VectorSet(9, rows, np.array(rows), np.zeros(4, dtype=np.int64), np.array([0]))
+        toy = VectorSet(9, rows, np.array(rows), np.array([0]))
         for vs, n in ((toy, 3), (vector_set(22), 3), (vector_set(22), 5)):
             vecs, nv, cmax = vs.vectors, len(vs.vectors), isqrt(vs.t)
 
@@ -179,6 +179,22 @@ class TestMeetInMiddle:
                 assert out.exhausted == (out.found is None), (t, n)
                 if out.found is not None:
                     assert len(out.found) == n and verify_cycle(out.found).valid
+
+    def test_golden_exhaustions_match_set_join_oracle(self):
+        # every length below C_3 on the chart's values above 5 is an exhaustion
+        # claim; the oracle checks each, and the length C_3 itself, unquotiented
+        with open(GOLDEN) as fh:
+            golden = [(int(r["n"]), int(r["c3"])) for r in csv.DictReader(fh)]
+        above_five = [(t, c3) for t, c3 in golden if c3 > 5]
+        assert len(above_five) == 16
+        for t, c3 in above_five:
+            vs = vector_set(t)
+            for n in range(3, c3 + 1, 2):
+                found = set_join_oracle(vs, n)
+                assert found == (n == c3), (t, n)
+                out = meet_in_middle(vs, n)
+                assert (out.found is not None) == found, (t, n)
+                assert out.exhausted == (not found), (t, n)
 
     def test_exhausts_nine_at_58(self):
         out = meet_in_middle(vector_set(58), 9)
@@ -303,99 +319,101 @@ class TestMinOddCycle:
         assert [(o.length_tried, o.budget_exceeded) for o in outcomes] == [(5, True)]
 
 
-class TestStages:
-    """meet_in_middle joins B3-closed unions of orbits before all of V(t)."""
+class TestCertifyRounds:
+    """meet_in_middle joins a few representatives against all of V(t) first."""
 
     @staticmethod
-    def spy_on_join(monkeypatch) -> list[tuple[int, int]]:
-        """Record (vectors, keys built) of every join."""
+    def spy_on_join(monkeypatch) -> list[dict]:
+        """Record every join: its left representatives, cap, hit and keys built."""
         calls = []
         join = search._join
 
-        def spy(keys, *args):
-            hit, built = join(keys, *args)
-            calls.append((len(keys), built))
+        def spy(keys, left_reps, reps, h1, h2, base, cap):
+            hit, built = join(keys, left_reps, reps, h1, h2, base, cap)
+            per_rep = comb(len(keys) + h1 - 2, h1 - 1)
+            calls.append(dict(
+                left=left_reps.tolist(), cap=cap, hit=hit, built=built, per_rep=per_rep,
+            ))
             return hit, built
 
         monkeypatch.setattr(search, "_join", spy)
         return calls
 
-    @pytest.mark.parametrize("t,first", [(999994, 32), (99994, 2)])
-    def test_stages_are_unions_of_chosen_orbits(self, monkeypatch, t, first):
-        monkeypatch.setattr(search, "_FIRST_STAGE", first)
-        vs = vector_set(t)
-        reps = vs.reps
-        triples = [vs.vectors[i] for i in reps]
-        want = []
-        k = first
-        while 2 * k <= len(reps):
-            chosen = {triples[int(i * len(reps) / k)] for i in range(k)}
-            want.append(
-                [j for j, v in enumerate(vs.vectors) if tuple(sorted(map(abs, v))) in chosen]
-            )
-            k *= 2
-        want.append(list(range(len(vs))))
-        stages = _stages(vs)
-        assert [s.tolist() for s in stages] == want
-        assert len(stages) > 1
-        if t == 999994:
-            assert [len(s) for s in stages] == [1536, 6048]
+    def test_first_round_hits_at_999994(self, monkeypatch):
+        vs = vector_set(999994)
+        nr = len(vs.reps)
+        assert (nr, len(vs)) == (126, 6048)
+        joins = self.spy_on_join(monkeypatch)
+        out = meet_in_middle(vs, 5)
+        assert out.found is not None and verify_cycle(out.found).valid
+        [join] = joins
+        assert join["left"] == [int(vs.reps[i * nr // 8]) for i in range(8)]
+        assert join["cap"] == 8 * 6048 and join["hit"] is not None
+        assert out.nodes_examined == join["built"] <= 2 * 8 * 6048
 
-    def test_staging_keeps_verdicts(self, monkeypatch):
-        # one orbit in the first stage makes stages run on the chart's small t
+    def test_rounds_keep_verdicts(self, monkeypatch):
+        # one representative in the first round makes rounds run on the chart's small t
         with open(GOLDEN) as fh:
             values = [int(r["n"]) for r in csv.DictReader(fh) if int(r["c3"]) > 5]
         joins = self.spy_on_join(monkeypatch)
-        staged_values = 0
         for t in values:
-            monkeypatch.setattr(search, "_FIRST_STAGE", 10**9)
+            monkeypatch.setattr(search, "_FIRST_LEFT", 10**9)
             plain = min_odd_cycle(t)
-            monkeypatch.setattr(search, "_FIRST_STAGE", 1)
+            monkeypatch.setattr(search, "_FIRST_LEFT", 1)
             joins.clear()
-            staged = min_odd_cycle(t)
-            staged_values += any(nv < len(vector_set(t)) for nv, _ in joins)
-            assert len(staged[-1].found) == len(plain[-1].found) > 5, t
-            assert [(o.length_tried, o.exhausted) for o in staged] == [
+            rounds = min_odd_cycle(t)
+            certify = [j for j in joins if j["cap"] is not None]
+            assert certify, t
+            for j in certify:  # a certify round probes at most its left side
+                assert j["built"] <= 2 * len(j["left"]) * j["per_rep"], t
+            assert len(rounds[-1].found) == len(plain[-1].found) > 5, t
+            assert [(o.length_tried, o.exhausted) for o in rounds] == [
                 (o.length_tried, o.exhausted) for o in plain
             ], t
-            assert len(staged[-1].found) == staged[-1].length_tried, t
-            assert verify_cycle(staged[-1].found).valid, t
-        assert staged_values == sum(len(enumerate_triples(t)) >= 2 for t in values) > 0
+            assert len(rounds[-1].found) == rounds[-1].length_tried, t
+            assert verify_cycle(rounds[-1].found).valid, t
 
-    def test_missed_stage_is_not_exhaustion(self, monkeypatch):
-        # C_3(82) = 7, so the one-orbit stage at n = 5 misses; with the full
-        # left side over budget the call must end budget_exceeded, not exhausted
-        monkeypatch.setattr(search, "_FIRST_STAGE", 1)
+    def test_missed_round_is_not_exhaustion(self, monkeypatch):
+        # C_3(82) = 7, so the one-representative round at n = 5 misses; the
+        # next round's left side is the full one, over budget, so the call
+        # must end budget_exceeded, not exhausted
+        monkeypatch.setattr(search, "_FIRST_LEFT", 1)
         vs = vector_set(82)
         full = len(vs.reps) * len(vs)
         monkeypatch.setattr(search, "MEMORY_BUDGET", full - 1)
         joins = self.spy_on_join(monkeypatch)
         out = meet_in_middle(vs, 5)
         assert out.budget_exceeded and out.found is None and not out.exhausted
-        [(nv, built)] = joins
-        assert nv < len(vs)
-        assert built <= nv + full - 1  # one representative: nv left keys, capped probes
-        # the budget outcome keeps the keys the missed stage built
-        assert out.nodes_examined == built == 119
+        [join] = joins
+        assert len(join["left"]) == 1 < len(vs.reps) and join["hit"] is None
+        assert join["built"] <= 2 * len(vs)  # |V| left keys, at most as many probes
+        # the budget outcome keeps the keys the missed round built
+        assert out.nodes_examined == join["built"] == 96
         outcomes = min_odd_cycle(82)
         assert outcomes[-1].found is None
         assert [
             (o.length_tried, o.exhausted, o.budget_exceeded, o.nodes_examined)
             for o in outcomes
-        ] == [(5, False, True, built)]
+        ] == [(5, False, True, join["built"])]
 
-    def test_stage_settles_a_value_over_budget(self, monkeypatch):
+    def test_round_settles_a_value_over_budget(self, monkeypatch):
         vs = vector_set(999994)
         assert len(vs.reps) * len(vs) == 126 * 6048
         monkeypatch.setattr(search, "MEMORY_BUDGET", 200_000)
         out = meet_in_middle(vs, 5)
         assert out.found is not None and not out.exhausted
         assert len(out.found) == 5 and verify_cycle(out.found).valid
-        assert out.nodes_examined <= 32 * 1536 + 200_000
-        # below the first stage's left side, 32 representatives * 1536 vectors
-        monkeypatch.setattr(search, "MEMORY_BUDGET", 32 * 1536 - 1)
+        assert out.nodes_examined <= 2 * 8 * 6048
+        # below the first round's left side, 8 representatives * 6048 vectors
+        monkeypatch.setattr(search, "MEMORY_BUDGET", 8 * 6048 - 1)
         out = meet_in_middle(vs, 5)
         assert out.budget_exceeded and out.found is None and out.nodes_examined == 0
+
+    def test_certifies_five_at_100000002(self):
+        # the full n = 5 left side, |R| * |V| = 988 * 47232 keys, is over budget
+        res = compute_C(3, 100000002)
+        assert res.value == 5 and verify_cycle(res.certificate).valid
+        assert res.nodes_examined < search.MEMORY_BUDGET
 
 
 class TestEngineAgreementSmall:

@@ -113,7 +113,7 @@ class TestFromResult:
             assert rec.certificate is None
         else:
             assert rec.certificate == res.certificate.vectors
-        searched = reason is Reason.SEARCHED
+        searched = reason in (Reason.SEARCHED, Reason.UNRESOLVED)
         assert rec.algorithm == ("modified+meet-in-middle" if searched else "closed-form")
 
 
