@@ -351,6 +351,29 @@ class TestCertifyRounds:
         assert join["cap"] == 8 * 6048 and join["hit"] is not None
         assert out.nodes_examined == join["built"] <= 2 * 8 * 6048
 
+    @pytest.mark.parametrize("t,first", [(999994, 32), (99994, 2)])
+    def test_round_left_sides_are_chosen_representatives(self, monkeypatch, t, first):
+        # every certify round is made to miss, so the whole schedule runs
+        monkeypatch.setattr(search, "_FIRST_LEFT", first)
+        vs = vector_set(t)
+        nr, nv = len(vs.reps), len(vs)
+        join = search._join
+        monkeypatch.setattr(
+            search, "_join",
+            lambda keys, *args: (None, 0) if args[-1] is not None else join(keys, *args),
+        )
+        joins = self.spy_on_join(monkeypatch)
+        out = meet_in_middle(vs, 5)
+        assert out.found is not None and verify_cycle(out.found).valid
+        want = []
+        k = first
+        while first * k <= nr:
+            want.append(([int(vs.reps[i * nr // k]) for i in range(k)], k * nv))
+            k *= 2
+        want.append((vs.reps.tolist(), None))
+        assert [(j["left"], j["cap"]) for j in joins] == want
+        assert [len(left) for left, _ in want] == ([2, 4, 8, 16, 49] if t == 99994 else [126])
+
     def test_rounds_keep_verdicts(self, monkeypatch):
         # one representative in the first round makes rounds run on the chart's small t
         with open(GOLDEN) as fh:
