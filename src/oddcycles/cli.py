@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 import time
-from pathlib import Path
+from typing import IO
 
 from . import arith, search, stats, store, vectors
 from .resolver import CmResult, Reason, compute_C
-from .search import brute_force, meet_in_middle, modified_five_cycle
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -28,6 +28,11 @@ BRUTE_BUDGET = 10**9  # largest search space `search --algo brute` takes on
 
 def _fmt_vec(v: tuple[int, ...]) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
+
+
+def _open_out(path: str | None) -> contextlib.AbstractContextManager[IO[str]]:
+    """The --out file, opened for writing, or stdout when there is none."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _print_result(res: CmResult) -> None:
@@ -62,7 +67,7 @@ def cmd_vectors(args: argparse.Namespace) -> int:
     vs = vectors.vector_set(args.t)
     print(f"|V({args.t})| = {len(vs)}")
     if args.list:
-        for v in vs.vectors:
+        for v in vs.coords.tolist():
             print(_fmt_vec(v))
     return EXIT_OK
 
@@ -71,7 +76,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.algo == "modified":
         if args.length != 5:
             raise ValueError(f"--algo modified searches length 5 only, got {args.length}")
-        out = modified_five_cycle(args.t)
+        out = search.modified_five_cycle(args.t)
     else:
         vs = vectors.vector_set(args.t)
         if args.algo == "brute":
@@ -83,9 +88,9 @@ def cmd_search(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_USAGE
-            out = brute_force(vs, args.length)
+            out = search.brute_force(vs, args.length)
         else:
-            out = meet_in_middle(vs, args.length)
+            out = search.meet_in_middle(vs, args.length)
     if out.budget_exceeded:
         print(
             f"memory budget exceeded: the left side at length {out.length_tried} "
@@ -114,22 +119,16 @@ def cmd_table(args: argparse.Namespace) -> int:
             print(f"search unresolved at n={n}", file=sys.stderr)
             return EXIT_UNRESOLVED
         lines.append(f"{n},{res.value}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _open_out(args.out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_density(args: argparse.Namespace) -> int:
     checkpoints = [int(x) for x in args.checkpoints.split(",") if x]
     rows = stats.density_table(checkpoints, workers=args.workers)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            stats.write_density_csv(rows, fh)
-    else:
-        stats.write_density_csv(rows, sys.stdout)
+    with _open_out(args.out) as fh:
+        stats.write_density_csv(rows, fh)
     return EXIT_OK
 
 
@@ -157,10 +156,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     ]
     torn = store.drop_torn_tail(args.out)
     if torn is not None:
-        print(
-            f"warning: {args.out}: dropped unterminated last line {torn!r}",
-            file=sys.stderr,
-        )
+        print(f"warning: {args.out}: dropped unterminated last line {torn!r}", file=sys.stderr)
     done = store.resolved_keys(args.out)
     unresolved = 0
     # the file opens at the first record, so a run with nothing left to do leaves it alone
@@ -188,6 +184,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oddcycles",

@@ -68,7 +68,7 @@ through, about 12% or fewer of those that miss, are looked up exactly
 by searchsorted into the sorted left side; no probe chunk is sorted.
 Keys use the power-of-two base of _key_base, so _canon reads digits with
 shifts and masks; one int64 key holds n = 5 up to t of about 1.2*10**11.
-The certificate is read back from the two row numbers (_unrank).
+The certificate is read from coords at the two rows' indices (_unrank).
 nodes_examined counts, for both joins, the quotient keys built and
 probed: the left side plus every probe chunk up to the one with the hit,
 summed over every round meet_in_middle ran.  For brute_force it
@@ -186,8 +186,7 @@ def brute_force(
     """
     _check_length(n)
     start = time.perf_counter()
-    vecs = vs.vectors
-    nv = len(vecs)
+    vecs, nv = vs.vectors, len(vs)
     cmax = isqrt(vs.t)
     nodes = 0
     stack: list[LatticeVector] = []
@@ -467,9 +466,7 @@ def _signed_perm(
     return lambda v: (sign[0] * v[perm[0]], sign[1] * v[perm[1]], sign[2] * v[perm[2]])
 
 
-def _rebuild(
-    t: int, left: Sequence[LatticeVector], probe: Sequence[LatticeVector]
-) -> OddCycle:
+def _rebuild(t: int, left: Sequence[Sequence[int]], probe: Sequence[Sequence[int]]) -> OddCycle:
     """g(left) + probe, with g in B3 taking sum(left) to -sum(probe)."""
     g = _signed_perm(
         [sum(v[k] for v in left) for k in range(3)],
@@ -520,15 +517,14 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
     """
     _check_length(n)
     start = time.perf_counter()
-    nv = len(vs.vectors)
+    nv = len(vs)
     if nv == 0:
         return SearchOutcome(vs.t, n, None, 0, time.perf_counter() - start)
 
     h1, h2 = n // 2, n - n // 2
     base = _key_base(vs.t, vs.coords, h2)
     keys = _keys(vs.coords, base)
-    reps = vs.reps
-    nr = len(reps)
+    reps, nr = vs.reps, len(vs.reps)
     per_rep = comb(nv + h1 - 2, h1 - 1)  # left keys per representative
     rounds = []  # (k, probe cap); None marks the full join
     k = _FIRST_LEFT
@@ -548,9 +544,8 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
             continue
         (row2, j), (row1, i) = divmod(hit[0], nr), divmod(hit[1], k)
         left = [left_reps[i], *_unrank(nv, h1 - 1, row1)]
-        probe = [reps[j], *_unrank(nv, h2 - 1, row2)]
-        vecs = vs.vectors
-        cycle = _rebuild(vs.t, [vecs[x] for x in left], [vecs[x] for x in probe])
+        vecs = vs.coords[left + [reps[j], *_unrank(nv, h2 - 1, row2)]].tolist()
+        cycle = _rebuild(vs.t, vecs[:h1], vecs[h1:])
         return SearchOutcome(vs.t, n, cycle, nodes, time.perf_counter() - start)
     return SearchOutcome(vs.t, n, None, nodes, time.perf_counter() - start)
 
@@ -593,7 +588,7 @@ def modified_five_cycle(t: int) -> SearchOutcome:
         raise ValueError(f"modified_five_cycle requires t = 2 (mod 4), got {t}")
     start = time.perf_counter()
     vs = vector_set(t)
-    nv = len(vs.vectors)
+    nv = len(vs)
     if nv == 0:
         return SearchOutcome(t, 5, None, 0, time.perf_counter() - start)
     if len(vs.reps) * nv > MEMORY_BUDGET:
@@ -616,9 +611,8 @@ def modified_five_cycle(t: int) -> SearchOutcome:
     if hit is None:
         return SearchOutcome(t, 5, None, nodes, time.perf_counter() - start)
     (ti, k), (m, i) = divmod(hit[0], nv), divmod(hit[1], len(reps))
-    vecs = vs.vectors
-    left, probe = [vecs[reps[i]], vecs[m]], [vecs[k], *_closing_pair(t, tlist[ti])]
-    cycle = _rebuild(t, left, probe)
+    a, b, c = vs.coords[[reps[i], m, k]].tolist()
+    cycle = _rebuild(t, [a, b], [c, *_closing_pair(t, tlist[ti])])
     return SearchOutcome(t, 5, cycle, nodes, time.perf_counter() - start)
 
 

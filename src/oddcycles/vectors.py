@@ -1,17 +1,20 @@
 """Magnitude-sqrt(t) lattice vector sets in Z^3, with their B3 orbits.
 
 vector_set applies B3, the 48 signed coordinate permutations, to every
-triple of R = enumerate_triples(t) in one numpy pass, sorts the images
-with np.lexsort over the columns and drops repeated rows.  The sort keys
-are the coordinates themselves, so it has no bound to overflow; the
-position of each triple in V(t) comes out of the same pass.
+triple of R = enumerate_triples(t) in one numpy pass.  np.unique sorts and
+deduplicates the images (x, y, z) by one int64 key, ((x + c)*(2c + 1) +
+y + c)*2 + (z > 0) with c = isqrt(t): its order is the rows' lexicographic
+order, and it is exact because x and y fix |z|.  The position of each
+triple in V(t) comes out of the same pass.  The largest key, 8c^2 + 8c + 1,
+is below 2**63 exactly when t < 2**60, about 1.15*10**18.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations, product
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -30,35 +33,41 @@ def magnitude_sq(v: LatticeVector) -> int:
 
 @dataclass(frozen=True)
 class VectorSet:
-    """Deduplicated, lexicographically sorted vectors of squared magnitude t.
+    """V(t), deduplicated and lexicographically sorted, as the int64 rows of coords.
 
-    coords[j] is vectors[j] as an int64 row; reps[i] is the position of
-    triple i of R.
+    reps[i] is the row of triple i of R; vectors, the rows as tuples, is
+    built on first use.  Equality is on t and coords (reps follows from them).
     """
 
     t: int
-    vectors: tuple[LatticeVector, ...]
     coords: np.ndarray = field(compare=False, repr=False)
     reps: np.ndarray = field(compare=False, repr=False)
 
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, VectorSet) and self.t == other.t
+        return same and np.array_equal(self.coords, other.coords)
+
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.coords)
+
+    @cached_property
+    def vectors(self) -> tuple[LatticeVector, ...]:
+        return tuple(map(tuple, self.coords.tolist()))
 
 
 def vector_set(t: int) -> VectorSet:
     """Build V(t), every Z^3 vector with squared magnitude exactly t, and R in it."""
+    if t >= 1 << 60:
+        raise ValueError(f"t={t} is 2**60 or more, past the int64 sort key")
     triples = np.array(enumerate_triples(t), dtype=np.int64).reshape(-1, 3)
+    c = isqrt(t)
     # row 48*i + 8*p + s is triple i, permuted by _PERMS[p] and signed by _SIGNS[s]
     images = (triples[:, _PERMS][:, :, None] * _SIGNS[None, None]).reshape(-1, 3)
-    order = np.lexsort(images.T[::-1])
-    images = images[order]
-    keep = np.ones(len(images), dtype=bool)
-    keep[1:] = (images[1:] != images[:-1]).any(axis=1)
-    # a repeat is an image of the same triple and the sort is stable, so row
-    # 48*i, triple i itself, is kept; R is lexicographic as V is, so reps ascends
-    coords = images[keep]
-    reps = np.flatnonzero(order[keep] % 48 == 0)
-    return VectorSet(t, tuple(zip(*coords.T.tolist())), coords, reps)
+    x, y, z = images.T
+    # a repeat is an image of the same triple, so np.unique's first row for each key
+    # is triple i itself at row 48*i; R is lexicographic as V is, so reps ascends
+    first = np.unique(((x + c) * (2 * c + 1) + y + c) * 2 + (z > 0), return_index=True)[1]
+    return VectorSet(t, images[first], np.flatnonzero(first % 48 == 0))
 
 
 def search_space_size(n_vectors: int, cycle_len: int) -> int:

@@ -10,7 +10,7 @@ import pytest
 from test_arith import LARGE_PAIRS
 
 from oddcycles import search
-from oddcycles.cli import main
+from oddcycles.cli import build_parser, main
 from oddcycles.constructions import k4_triangle, triangle_cycle
 from oddcycles.resolver import Reason, compute_C
 from oddcycles.search import SearchOutcome
@@ -111,6 +111,28 @@ class TestSmallCommands:
         body = out.splitlines()[1:]
         assert len(body) == 24
         assert "(2,3,3)" in body
+
+
+class TestParserReuse:
+    """main builds its parser once per process; a parse leaves it unchanged."""
+
+    def test_two_calls_give_the_same_output(self, capsys):
+        first = run(capsys, "c", "3", "22")
+        assert first[0] == 0 and first[1].startswith("C_3(22) = 9\n")
+        assert run(capsys, "c", "3", "22") == first
+        assert build_parser() is build_parser()
+
+    def test_failed_parse_does_not_change_the_next_call(self, capsys):
+        listed = run(capsys, "vectors", "22", "--list")
+        for argv in (["vectors", "22", "--list", "--bogus"], ["search", "22", "--length", "7"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            capsys.readouterr()
+        assert run(capsys, "vectors", "22") == (0, "|V(22)| = 24\n", "")
+        assert run(capsys, "vectors", "22", "--list") == listed
+        code, out, _ = run(capsys, "search", "22", "--algo", "mitm")
+        assert code == 0 and "length: 5\n" in out
 
 
 class TestSearch:

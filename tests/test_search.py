@@ -124,7 +124,7 @@ class TestBruteForce:
         # prefix passes the bound |partial sum| <= (n - length) * isqrt(t)
         # in each coordinate; a prefix that fails it is visited but cut.
         rows = ((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, -1))  # not closed under B3
-        toy = VectorSet(9, rows, np.array(rows), np.array([0]))
+        toy = VectorSet(9, np.array(rows), np.array([0]))
         for vs, n in ((toy, 3), (vector_set(22), 3), (vector_set(22), 5)):
             vecs, nv, cmax = vs.vectors, len(vs.vectors), isqrt(vs.t)
 
