@@ -41,17 +41,18 @@ whichever r it holds, so it settles length n as a hit of the full join
 would (for class T, a 5-cycle proves C_3 = 5).  So meet_in_middle first
 runs certify rounds: round k puts the k representatives at positions
 i*|R|//k of R on the left, for k = _FIRST_LEFT, 2*_FIRST_LEFT, ... while
-_FIRST_LEFT*k <= |R|, so the rounds depend on t alone and none runs while
-|R| < 64; the probes are the full join's, in its order.  The last round
+_ROUND_SHARE*k <= |R|, that is while a round's left side is at most a
+quarter of the full join's.  So the rounds depend on t alone and none runs
+while |R| < 32; the probes are the full join's, in its order.  The last round
 is the full join, k = |R|, and only it can show that no cycle of length
 n exists.  A certify round stops after probing as many keys as its left
 side holds, which balances the two sides of a collision search as in van
 Oorschot and Wiener, "Parallel collision search with cryptanalytic
 applications", J. Cryptology 12, 1999.  With P = comb(|V| + h1 - 2,
 h1 - 1) left keys per representative, round k builds at most 2kP keys,
-and k <= |R|/_FIRST_LEFT = |R|/8, so the missed rounds together build at
-most 2P(|R|/8 + |R|/16 + ...) <= |R|P/2 keys, half the full join's left
-side.  A round whose left side is over MEMORY_BUDGET ends the call
+and k <= |R|/_ROUND_SHARE = |R|/4, so the missed rounds together build
+at most 2P(|R|/4 + |R|/8 + ...) <= |R|P keys, at most the full join's
+left side.  A round whose left side is over MEMORY_BUDGET ends the call
 budget_exceeded, counting the keys the missed rounds built, since every
 later round is larger: a round hit can settle a value whose full left
 side is over budget.
@@ -232,6 +233,7 @@ _SUMS_CHUNK = 1 << 20  # ... and this many probe-side sums
 _CANON_BLOCK = 1 << 15  # keys _canon works on at once
 _HASH = np.uint64(0x9E3779B97F4A7C15)  # odd, about 2**64 / golden ratio
 _FIRST_LEFT = 8  # representatives on the left of meet_in_middle's first certify round
+_ROUND_SHARE = 4  # ... and rounds run while their left side is <= 1/4 of the full join's
 
 
 def _key_base(t: int, coords: np.ndarray, span: int) -> int:
@@ -509,10 +511,12 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
     vs must be a whole V(t), closed under B3.  With h1 = floor(n/2) and
     h2 = ceil(n/2), the join runs in rounds until one has a hit: certify
     rounds with k = _FIRST_LEFT, 2*_FIRST_LEFT, ... representatives on the
-    left while _FIRST_LEFT*k <= |R|, each probing at most its left side's
-    number of keys, then the full join with all of R on the left.  A
-    round whose left side is over MEMORY_BUDGET ends the call
-    budget_exceeded; only the full join can end exhausted.
+    left while _ROUND_SHARE*k <= |R| (none while |R| < 32), each probing
+    at most its left side's number of keys, then the full join with all
+    of R on the left.  The missed rounds build at most as many keys as
+    the full join's left side.  A round whose left side is over
+    MEMORY_BUDGET ends the call budget_exceeded; only the full join can
+    end exhausted.
     nodes_examined counts the keys built, summed over every round.
     """
     _check_length(n)
@@ -528,7 +532,7 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
     per_rep = comb(nv + h1 - 2, h1 - 1)  # left keys per representative
     rounds = []  # (k, probe cap); None marks the full join
     k = _FIRST_LEFT
-    while _FIRST_LEFT * k <= nr:
+    while _ROUND_SHARE * k <= nr:
         rounds.append((k, k * per_rep))
         k *= 2
     rounds.append((nr, None))

@@ -339,22 +339,36 @@ class TestCertifyRounds:
         monkeypatch.setattr(search, "_join", spy)
         return calls
 
-    def test_first_round_hits_at_999994(self, monkeypatch):
-        vs = vector_set(999994)
-        nr = len(vs.reps)
-        assert (nr, len(vs)) == (126, 6048)
+    @pytest.mark.parametrize(
+        "t,nr,nv",
+        [(999994, 126, 6048), (99994, 49, 2280), (6254, 35, 1680)],
+        ids=["999994", "99994", "6254"],
+    )
+    def test_first_round_hits(self, monkeypatch, t, nr, nv):
+        vs = vector_set(t)
+        assert (len(vs.reps), len(vs)) == (nr, nv)
         joins = self.spy_on_join(monkeypatch)
         out = meet_in_middle(vs, 5)
         assert out.found is not None and verify_cycle(out.found).valid
         [join] = joins
         assert join["left"] == [int(vs.reps[i * nr // 8]) for i in range(8)]
-        assert join["cap"] == 8 * 6048 and join["hit"] is not None
-        assert out.nodes_examined == join["built"] <= 2 * 8 * 6048
+        assert join["cap"] == 8 * nv and join["hit"] is not None
+        assert out.nodes_examined == join["built"] <= 2 * 8 * nv
+
+    def test_no_round_below_6254(self):
+        # rounds need 32 representatives, one per triple; 6254, the first
+        # class-T value with 32, is a case of test_first_round_hits
+        small = [
+            t for t in range(2, 6254, 4)
+            if classify(t) is STClass.T and len(enumerate_triples(t)) >= 32
+        ]
+        assert small == []
 
     @pytest.mark.parametrize("t,first", [(999994, 32), (99994, 2)])
     def test_round_left_sides_are_chosen_representatives(self, monkeypatch, t, first):
         # every certify round is made to miss, so the whole schedule runs
         monkeypatch.setattr(search, "_FIRST_LEFT", first)
+        monkeypatch.setattr(search, "_ROUND_SHARE", first)
         vs = vector_set(t)
         nr, nv = len(vs.reps), len(vs)
         join = search._join
@@ -375,7 +389,9 @@ class TestCertifyRounds:
         assert [len(left) for left, _ in want] == ([2, 4, 8, 16, 49] if t == 99994 else [126])
 
     def test_rounds_keep_verdicts(self, monkeypatch):
-        # one representative in the first round makes rounds run on the chart's small t
+        # one representative in the first round, and rounds up to all of R,
+        # make rounds run on the chart's small t
+        monkeypatch.setattr(search, "_ROUND_SHARE", 1)
         with open(GOLDEN) as fh:
             values = [int(r["n"]) for r in csv.DictReader(fh) if int(r["c3"]) > 5]
         joins = self.spy_on_join(monkeypatch)
@@ -401,6 +417,7 @@ class TestCertifyRounds:
         # next round's left side is the full one, over budget, so the call
         # must end budget_exceeded, not exhausted
         monkeypatch.setattr(search, "_FIRST_LEFT", 1)
+        monkeypatch.setattr(search, "_ROUND_SHARE", 1)
         vs = vector_set(82)
         full = len(vs.reps) * len(vs)
         monkeypatch.setattr(search, "MEMORY_BUDGET", full - 1)
