@@ -18,6 +18,7 @@ factorize works in three stages on a 63-bit input:
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from math import gcd, isqrt
@@ -68,7 +69,6 @@ def odd_primes(limit: int) -> list[int]:
 
 _TRIAL_LIMIT = 1024
 _TRIAL_PRIMES = tuple(odd_primes(_TRIAL_LIMIT))
-_TRIAL_PRIME_ARRAY = np.array(_TRIAL_PRIMES, dtype=np.int64)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -187,10 +187,6 @@ def reduce_mod4(r: int) -> tuple[int, int]:
     return r, k
 
 
-_CELLS = 1 << 18  # row-by-prime cells per block of the remainder matrix
-_NUMPY_ROWS = 128  # from this many rows on, numpy finds the primes that divide each row
-
-
 def enumerate_triples(z: int) -> list[Triple]:
     """All triples 0 <= a <= b <= c with a^2 + b^2 + c^2 = z, lexicographic.
 
@@ -203,11 +199,9 @@ def enumerate_triples(z: int) -> list[Triple]:
     comes from Cornacchia's algorithm (see _prime_split), and of q^(e/2).
 
     A row whose odd part is 3 (mod 4) has such a q to an odd power, so it
-    is dropped before factoring.  The other rows are divided by every odd
-    prime up to sqrt(max n); with many rows, numpy finds the primes that
-    divide each row at once from the remainder matrix n % p, in blocks.
-    What is left of a row then has no prime factor up to its own square
-    root, so it is 1 or a prime.
+    is dropped.  The odd primes up to sqrt(max n) are sieved onto the rows
+    as in the quadratic sieve (Pomerance 1984): p divides z - c^2 exactly
+    when c^2 = z (mod p), so each root of _sqrt_mod(z % p, p) marks a stride.
     """
     _check_positive(z, "z")
     c_lo = isqrt((z - 1) // 3) + 1  # least c with 3c^2 >= z
@@ -216,52 +210,58 @@ def enumerate_triples(z: int) -> list[Triple]:
     if c_hi * c_hi == z:
         out.append(Triple(0, 0, c_hi))
         c_hi -= 1
-    if c_hi - c_lo + 1 < _NUMPY_ROWS:
-        # so z < 10^5 and every n < _TRIAL_LIMIT^2: the trial primes suffice
-        for c in range(c_lo, c_hi + 1):
-            n = z - c * c
-            if n & (n & -n) << 1 == 0:  # odd part = 1 (mod 4)
-                _add_row(out, n, c, _TRIAL_PRIMES)
+    root = isqrt(z - c_lo * c_lo)
+    if root < _TRIAL_LIMIT:
+        primes = _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, root)]
     else:
-        c = np.arange(c_lo, c_hi + 1, dtype=np.int64)
+        primes = odd_primes(root)
+    divisors: list[list[int]] = [[] for _ in range(c_lo, c_hi + 1)]
+    for p in primes:
+        for r in _sqrt_mod(z % p, p):
+            for i in range((r - c_lo) % p, len(divisors), p):
+                divisors[i].append(p)
+    for c, row_primes in zip(range(c_lo, c_hi + 1), divisors):
         n = z - c * c
-        keep = n & (n & -n) << 1 == 0
-        c, n = c[keep], n[keep]
-        root = isqrt(z - c_lo * c_lo)
-        if root < _TRIAL_LIMIT:
-            primes = _TRIAL_PRIME_ARRAY[_TRIAL_PRIME_ARRAY <= root]
-        else:
-            primes = np.array(odd_primes(root), dtype=np.int64)
-        step = max(1, _CELLS // max(len(primes), 1))
-        for i in range(0, len(n), step):
-            block = n[i : i + step]
-            rows, cols = np.nonzero(block[:, None] % primes == 0)
-            divisors: list[list[int]] = [[] for _ in range(len(block))]
-            for r, p in zip(rows.tolist(), primes[cols].tolist()):
-                divisors[r].append(p)
-            for row in zip(block.tolist(), c[i : i + step].tolist(), divisors):
-                _add_row(out, *row)
+        if n & (n & -n) << 1 == 0:  # odd part = 1 (mod 4)
+            _add_row(out, n, c, row_primes)
     out.sort()
     return out
+
+
+@lru_cache(maxsize=1 << 10)  # a small prime's (z mod p, p) recurs across nearby z
+def _sqrt_mod(a: int, p: int) -> tuple[int, ...]:
+    """The roots of c^2 = a (mod p) in [0, p), for an odd prime p and a in
+    [0, p), by Tonelli-Shanks (Shanks 1973); one pow when p = 3 (mod 4)."""
+    if a == 0:
+        return (0,)
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+        return (r, p - r) if r * r % p == a else ()
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s with q odd
+    q = (p - 1) >> s
+    g = next(g for g in range(2, p) if pow(g, p >> 1, p) == p - 1)
+    c, t, r = pow(g, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # r^2 = a t, and t has order 2^i
+        i = next(i for i in range(1, s + 1) if pow(t, 1 << i, p) == 1)
+        if i == s:  # only at the first step, for a non-residue
+            return ()
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return (r, p - r)
 
 
 def _add_row(out: list[Triple], n: int, c: int, primes: Iterable[int]) -> None:
     """Append Triple(a, b, c) for every a <= b <= c with a^2 + b^2 = n > 0.
 
-    ``primes`` holds, increasing, every odd prime that divides n and is at
-    most sqrt(n), and may hold odd primes that do not divide it.
+    ``primes`` holds, increasing, exactly the odd primes up to some bound
+    b >= sqrt(n) that divide n, so what is left of n is 1 or a prime.
     """
     twos = (n & -n).bit_length() - 1
     m = n >> twos
     scale = 1 << (twos // 2)
     splits = []
     for p in primes:
-        if p * p > m:
-            break
-        if m % p:
-            continue
-        m //= p
-        e = 1
+        e = 0
         while m % p == 0:
             m //= p
             e += 1

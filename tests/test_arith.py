@@ -275,11 +275,14 @@ def prime_row(c: int, residue: int) -> int:
 
 SINGLE_ANCHORS = (2062, 2542, 2566, 3634, 4558, 4678, 7282, 8710, 99994, 999994)
 
-# Values where a branch of enumerate_triples changes or a factorization is
-# unusual, each compared with triples_grid.
+# Values near the end of the trial-prime table, where enumerate_triples
+# starts to sieve with odd_primes, or whose factorizations are unusual,
+# each compared with triples_grid.
 GRID_CASES = [
     # the trial-prime table ends at 1024
     1024**2 - 1, 1024**2, 1024**2 + 1, 1025**2,
+    # every small odd prime divides z, so it marks rows along the one root 0
+    2 * 3 * 5 * 7 * 11 * 13 * 17 * 19, 2 * 3**2 * 5**2 * 7**2 * 11**2,
     # perfect squares: a row with n = 0
     1, 4, 9, 10**6, 2187**2, 4321**2,
     # powers of 2 and 2q^2 with q = 3 (mod 4)
@@ -328,18 +331,62 @@ class TestEnumerateTriples:
     def test_matches_loop_at_single_anchors(self, z):
         assert enumerate_triples(z) == triples_loop(z)
 
-    def test_numpy_rows_match_loop_on_every_z_to_20000(self, monkeypatch):
-        # the row count picks the numpy branch only from z of about 10^5 on
-        monkeypatch.setattr(arith, "_NUMPY_ROWS", 1)
-        for z, want in enumerate(triples_up_to(20000)):
-            if z:
-                got = enumerate_triples(z)
-                assert got == want, z
-                assert all(type(x) is int for tr in got for x in tr), z
+    def test_rows_get_exactly_their_odd_primes_to_the_root(self, monkeypatch):
+        calls = []
+        add_row = arith._add_row
+
+        def spy(out, n, c, primes):
+            calls.append((n, c, list(primes)))
+            add_row(out, n, c, primes)
+
+        monkeypatch.setattr(arith, "_add_row", spy)
+        rng = random.Random(20261020)
+        decades = [rng.randrange(10**k, 10 ** (k + 1)) + 1 for k in range(3, 9)]
+        for z in [*range(1, 2000), *decades, 10**10 + 2]:
+            calls.clear()
+            enumerate_triples(z)
+            c_lo = isqrt((z - 1) // 3) + 1
+            root = isqrt(z - c_lo * c_lo)
+            rows = []
+            for c in range(c_lo, isqrt(z) + 1):
+                if (m := z - c * c) > 0:
+                    while m % 2 == 0:
+                        m //= 2
+                    if m % 4 == 1:
+                        rows.append(c)
+            assert [c for _, c, _ in calls] == rows, z
+            checked = calls if z < 10**10 else rng.sample(calls, 2000)
+            for n, c, primes in checked:
+                assert n == z - c * c
+                want = [p for p, _ in factorize(n) if p != 2 and p <= root]
+                assert primes == want, (z, c)
 
     @pytest.mark.parametrize("z", GRID_CASES)
     def test_matches_grid(self, z):
         assert enumerate_triples(z) == triples_grid(z)
+
+    def test_sqrt_mod_matches_brute_force_below_1000(self):
+        for p in odd_primes(1000):
+            roots: list[list[int]] = [[] for _ in range(p)]
+            for c in range(p):
+                roots[c * c % p].append(c)
+            for a in range(p):
+                assert sorted(arith._sqrt_mod(a, p)) == roots[a], (a, p)
+
+    @pytest.mark.parametrize("p", [65537, 786433, 998244353, 2**31 - 19, 2**31 - 1])
+    def test_sqrt_mod_large_primes(self, p):
+        # p - 1 has 2-power 2^16, 2^18, 2^23, 4 and 2: Tonelli-Shanks steps
+        # longest on the first three
+        rng = random.Random(p)
+        for _ in range(200):
+            x = rng.randrange(1, p)
+            assert sorted(arith._sqrt_mod(x * x % p, p)) == sorted({x, p - x})
+            a = rng.randrange(1, p)
+            if pow(a, (p - 1) // 2, p) == p - 1:
+                assert arith._sqrt_mod(a, p) == ()
+            else:
+                r, s = arith._sqrt_mod(a, p)
+                assert r * r % p == a and r + s == p
 
     def test_prime_split(self):
         top = MAX_INPUT - 2  # the largest 63-bit prime = 1 (mod 4)
