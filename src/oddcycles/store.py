@@ -1,8 +1,8 @@
 """Line-oriented result record files for batch runs.
 
 One JSON object per line, fixed key order, UTF-8.  Records are
-self-verifying: certificates are re-checked on load, so a record file is
-trustworthy regardless of which shard or machine produced it.
+self-verifying: on load each certificate is re-checked and each reason must
+be the one the resolver gives its (m, t), whichever shard wrote the file.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Iterable, Optional, Sequence
 
-from .arith import STClass, classify, reduce_mod4
-from .resolver import NONEXISTENT_REASONS, CmResult, Reason
+from .resolver import NONEXISTENT_REASONS, CmResult, Reason, settled_reason
 from .search import OddCycle, verify_cycle
 
 SCHEMA_VERSION = 1
@@ -73,43 +72,29 @@ class ResultRecord:
             raise ValueError(f"unknown reason {self.reason!r}") from None
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if reason in NONEXISTENT_REASONS:
-            if self.value != 0 or self.certificate is not None:
-                raise ValueError(f"reason {self.reason} requires value 0, no certificate")
-            if self.m != {Reason.DIM1: 1, Reason.DIM2: 2}.get(reason, self.m):
-                raise ValueError(f"reason {self.reason} does not hold at m={self.m}")
-            if reason is Reason.ODD_R and reduce_mod4(self.t)[0] % 2 == 0:
-                raise ValueError(f"reason OddR needs an odd core of t, got t={self.t}")
-            return
+        if reason in NONEXISTENT_REASONS and (self.value, self.certificate) != (0, None):
+            raise ValueError(f"reason {self.reason} requires value 0, no certificate")
+        if reason is Reason.UNRESOLVED and (self.value, self.certificate) != (None, None):
+            raise ValueError("unresolved record must have null value and certificate")
         if any(len(v) != self.m for v in self.certificate or ()):
             raise ValueError(f"certificate vectors are not all in Z^{self.m}")
-        if reason is Reason.K4_CONSTRUCTION:
-            holds = self.m >= 4
-        else:
-            # at m = 3 the class of t's core decides: S has a triangle, T is searched
-            core = reduce_mod4(self.t)[0]
-            need = STClass.S if reason is Reason.TRIANGLE else STClass.T
-            holds = self.m == 3 and core % 2 == 0 and classify(core) is need
-        if not holds:
-            raise ValueError(f"reason {self.reason} does not hold at m={self.m}, t={self.t}")
-        if reason is Reason.UNRESOLVED:
-            if self.value is not None or self.certificate is not None:
-                raise ValueError("unresolved record must have null value and certificate")
+        expected = settled_reason(self.m, self.t)
+        if reason is not expected and (expected, reason) != (Reason.SEARCHED, Reason.UNRESOLVED):
+            raise ValueError(
+                f"reason {self.reason} does not hold at m={self.m}, t={self.t}: "
+                f"the resolver gives {expected.value}"
+            )
+        if reason in NONEXISTENT_REASONS or reason is Reason.UNRESOLVED:
             return
         if self.value is None or self.value < 3 or self.value % 2 == 0:
             raise ValueError(f"value {self.value} is not an odd integer >= 3")
         if self.certificate is None:
             raise ValueError(f"reason {self.reason} requires a certificate")
-        # For m >= 4 the certificate is a K4-derived 3-cycle at squared
-        # magnitude r; verification is the same check.
-        cycle = OddCycle.from_vectors(self.t, self.certificate)
-        diag = verify_cycle(cycle)
+        diag = verify_cycle(OddCycle.from_vectors(self.t, self.certificate))
         if not diag.valid:
             raise ValueError(f"certificate fails verification: {diag.reason}")
         if len(self.certificate) != self.value:
-            raise ValueError(
-                f"certificate length {len(self.certificate)} != value {self.value}"
-            )
+            raise ValueError(f"certificate length {len(self.certificate)} != value {self.value}")
 
     @staticmethod
     def from_result(res: CmResult, elapsed_ms: int, shard_id: int) -> "ResultRecord":

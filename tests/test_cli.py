@@ -1,6 +1,8 @@
 """End-to-end CLI behavior through main(), including exit codes."""
 
+import hashlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,6 +17,9 @@ from oddcycles.constructions import k4_triangle, triangle_cycle
 from oddcycles.resolver import Reason, compute_C
 from oddcycles.search import SearchOutcome
 from oddcycles.store import ResultRecord, load
+
+# sha256 of the records of run --range 2..1998 with elapsed_ms zeroed
+RUN_2_1998_SHA256 = Path(__file__).parent / "data" / "run_2_1998.sha256"
 
 # a 5-cycle of V(18); C_3(18) = 3 all the same
 FIVE_CYCLE_18 = ((-4, -1, -1), (-4, -1, -1), (1, 1, 4), (3, 0, -3), (4, 1, 1))
@@ -202,6 +207,13 @@ class TestVerifyRunMerge:
         assert code == 0
         assert f"{len(records)} records verified" in out
 
+    def test_run_records_match_pinned_digest(self, capsys, tmp_path):
+        out_path = tmp_path / "r.jsonl"
+        code, _, _ = run(capsys, "run", "--range", "2..1998", "--out", str(out_path))
+        assert code == 0
+        data = re.sub(rb'"elapsed_ms":\d+', b'"elapsed_ms":0', out_path.read_bytes())
+        assert hashlib.sha256(data).hexdigest() == RUN_2_1998_SHA256.read_text().strip()
+
     def test_run_resume_skips_done(self, capsys, tmp_path):
         out_path = tmp_path / "r.jsonl"
         run(capsys, "run", "--range", "2..50", "--out", str(out_path))
@@ -283,7 +295,13 @@ class TestVerifyRunMerge:
         (dict(value=3, reason="Triangle", certificate=k4_triangle(4, 22).vectors), "Z^3"),
         (dict(value=0, reason="Dim1"), "does not hold at m=3"),
         (dict(value=0, reason="Dim2"), "does not hold at m=3"),
-        (dict(value=0, reason="OddR"), "odd core"),
+        (dict(value=0, reason="OddR"), "the resolver gives Searched"),
+        # C_4(4) = 3 by the K4 construction, C_2(5) = 0 by odd t, and Z^0 has no C
+        (dict(t=4, m=4, value=0, reason="OddR"),
+         "does not hold at m=4, t=4: the resolver gives K4Construction"),
+        (dict(t=5, m=2, value=0, reason="Dim2"),
+         "does not hold at m=2, t=5: the resolver gives OddR"),
+        (dict(m=0, value=0, reason="OddR"), "m and r must be positive"),
         # C_3(18) = 3, since 18 is class S, and C_5(18) = 3: a valid 5-cycle
         # does not make either 5
         (dict(t=18, value=5, reason="Searched", certificate=FIVE_CYCLE_18),
@@ -304,6 +322,7 @@ class TestVerifyRunMerge:
         (dict(value=None, reason="Unresolved", algorithm="x"), "unknown algorithm 'x'"),
     ], ids=[
         "z4_certificate", "dim1_at_m3", "dim2_at_m3", "oddr_even_core",
+        "oddr_at_c4_4", "dim2_at_odd_t", "oddr_at_m0",
         "searched_class_s", "searched_at_m5", "triangle_class_t", "k4_at_m3",
         "unresolved_with_certificate", "unknown_algorithm",
     ])

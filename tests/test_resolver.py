@@ -52,7 +52,7 @@ class TestComputeC:
 
     def test_certificates_verify(self):
         rng = random.Random(99)
-        cases = [(3, 2), (3, 10), (3, 22), (4, 8), (5, 34)]
+        cases = [(3, 2), (3, 10), (3, 22), (4, 8), (5, 34), (3, 8), (3, 40), (3, 352)]
         cases += [(3, rng.randrange(2, 400, 4)) for _ in range(8)]
         for m, r in cases:
             res = compute_C(m, r)
@@ -62,6 +62,7 @@ class TestComputeC:
                 assert res.certificate is not None
                 diag = verify_cycle(res.certificate)
                 assert diag.valid, (m, r, diag.reason)
+                assert res.certificate.t == r, (m, r)  # at r, not at the reduced r
                 assert len(res.certificate) == res.value
 
     def test_values_never_even_or_one(self):

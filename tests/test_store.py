@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from oddcycles import search
-from oddcycles.resolver import Reason, compute_C
+from oddcycles import resolver, search
+from oddcycles.constructions import k4_triangle
+from oddcycles.resolver import NONEXISTENT_REASONS, Reason, compute_C
 from oddcycles.store import (
     RecordValidationError,
     ResultRecord,
@@ -150,7 +151,7 @@ class TestValidation:
         if ok:
             rec.validate()
         else:
-            with pytest.raises(ValueError, match="does not hold|odd core"):
+            with pytest.raises(ValueError, match="does not hold"):
                 rec.validate()
 
     def test_unresolved_requires_null_value(self):
@@ -186,6 +187,51 @@ class TestValidation:
         append_to(path, forged)
         with pytest.raises(RecordValidationError, match="conflicting"):
             load(path)
+
+
+class TestReasonGrid:
+    """Every reason compute_C does not give an (m, t) is rejected there."""
+
+    @pytest.mark.parametrize("m", [-2, 0, 1, 2, 3, 4, 5, 6])
+    def test_only_the_resolvers_reason_validates(self, m):
+        for t in [*range(1, 201), 256, 1024, 4096]:
+            try:
+                res = compute_C(m, t)
+            except ValueError:
+                res = None  # no C_m(t) at m < 1: every record is false
+                accepted = set()
+            else:
+                ResultRecord.from_result(res, elapsed_ms=0, shard_id=0).validate()
+                searched = {Reason.SEARCHED, Reason.UNRESOLVED}
+                accepted = searched if res.reason in searched else {res.reason}
+            # a cycle that verifies at t: the resolver's own, else a Z^4 triangle
+            if res is not None and res.certificate is not None:
+                cycle = res.certificate.vectors
+            else:
+                cycle = k4_triangle(4, t).vectors if t % 2 == 0 else None
+            for reason in set(Reason) - accepted:
+                if reason is Reason.UNRESOLVED:
+                    value, cert = None, None
+                elif reason in NONEXISTENT_REASONS:
+                    value, cert = 0, None
+                elif cycle is not None:
+                    value, cert = len(cycle), cycle
+                else:
+                    continue  # no valid cycle to forge one with
+                rec = record_22(t=t, m=m, value=value, reason=reason.value, certificate=cert)
+                with pytest.raises(ValueError):
+                    rec.validate()
+
+    def test_validation_runs_no_search(self, monkeypatch):
+        records = [ResultRecord.from_result(compute_C(3, t), 0, 0) for t in (10, 18, 40, 58)]
+
+        def forbidden(*args):
+            raise AssertionError("validate resolved the record again")
+
+        for name in ("triangle_cycle", "min_odd_cycle"):
+            monkeypatch.setattr(resolver, name, forbidden)
+        for rec in records:
+            rec.validate()
 
 
 class TestMerge:
