@@ -30,6 +30,13 @@ import numpy as np
 # rejected up front rather than silently promoted to bignums.
 MAX_INPUT = 2**63 - 1
 
+# enumerate_triples keeps a list per row c, about 0.42*sqrt(z) rows, so it
+# refuses a z with more rows than this (z past about 1.5*10**12) before it
+# allocates: V(t) at t = 10**12 + 2 (422,650 rows) already peaks at 650 MB,
+# while the largest t the n = 5 search key takes (about 1.2*10**11) has
+# about 146,000 rows.
+MAX_ROWS = 1 << 19
+
 
 class Triple(NamedTuple):
     """Canonical representation a <= b <= c of z = a^2 + b^2 + c^2."""
@@ -202,10 +209,13 @@ def enumerate_triples(z: int) -> list[Triple]:
     is dropped.  The odd primes up to sqrt(max n) are sieved onto the rows
     as in the quadratic sieve (Pomerance 1984): p divides z - c^2 exactly
     when c^2 = z (mod p), so each root of _sqrt_mod(z % p, p) marks a stride.
+    A z with more than MAX_ROWS rows raises ValueError before any of that.
     """
     _check_positive(z, "z")
     c_lo = isqrt((z - 1) // 3) + 1  # least c with 3c^2 >= z
     c_hi = isqrt(z)
+    if c_hi - c_lo + 1 > MAX_ROWS:
+        raise ValueError(f"z={z} has {c_hi - c_lo + 1} rows, more than MAX_ROWS = {MAX_ROWS}")
     out: list[Triple] = []
     if c_hi * c_hi == z:
         out.append(Triple(0, 0, c_hi))

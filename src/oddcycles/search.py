@@ -1,7 +1,7 @@
 """Cycle-finding engines over V(t).
 
-Three engines, each ending in one SearchOutcome: found, exhausted, or
-budget_exceeded:
+Three engines, each ending in one SearchOutcome (length_tried, found,
+nodes_examined, budget_exceeded): found, exhausted, or budget_exceeded:
 
 * brute_force        -- enumerate multisets of odd size n in index order,
                         with component-wise partial-sum pruning;
@@ -85,7 +85,6 @@ Every cycle an engine returns is re-verified internally before it escapes.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb, isqrt
@@ -143,13 +142,11 @@ def verify_cycle(c: OddCycle) -> CycleDiagnostics:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """How one engine call ended: found, exhausted, or budget_exceeded."""
+    """How one engine call at length_tried ended: found, exhausted, or budget_exceeded."""
 
-    t: int
     length_tried: int
     found: Optional[OddCycle]
     nodes_examined: int
-    elapsed: float
     budget_exceeded: bool = False
 
     def __post_init__(self) -> None:
@@ -186,7 +183,6 @@ def brute_force(
     counts the index prefixes visited, cut ones included.
     """
     _check_length(n)
-    start = time.perf_counter()
     vecs, nv = vs.vectors, len(vs)
     cmax = isqrt(vs.t)
     nodes = 0
@@ -216,11 +212,9 @@ def brute_force(
         return True
 
     res = rec(0, 0, 0, 0, 0)
-    elapsed = time.perf_counter() - start
     if res is None:
-        cycle = OddCycle.from_vectors(vs.t, stack)
-        return SearchOutcome(vs.t, n, cycle, nodes, elapsed)
-    return SearchOutcome(vs.t, n, None, nodes, elapsed, budget_exceeded=not res)
+        return SearchOutcome(n, OddCycle.from_vectors(vs.t, stack), nodes)
+    return SearchOutcome(n, None, nodes, budget_exceeded=not res)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +514,9 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
     nodes_examined counts the keys built, summed over every round.
     """
     _check_length(n)
-    start = time.perf_counter()
     nv = len(vs)
     if nv == 0:
-        return SearchOutcome(vs.t, n, None, 0, time.perf_counter() - start)
+        return SearchOutcome(n, None, 0)
 
     h1, h2 = n // 2, n - n // 2
     base = _key_base(vs.t, vs.coords, h2)
@@ -539,8 +532,7 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
     nodes = 0
     for k, cap in rounds:
         if k * per_rep > MEMORY_BUDGET:
-            elapsed = time.perf_counter() - start
-            return SearchOutcome(vs.t, n, None, nodes, elapsed, budget_exceeded=True)
+            return SearchOutcome(n, None, nodes, budget_exceeded=True)
         left_reps = reps[np.arange(k) * nr // k]
         hit, built = _join(keys, left_reps, reps, h1, h2, base, cap)
         nodes += built
@@ -550,8 +542,8 @@ def meet_in_middle(vs: VectorSet, n: int) -> SearchOutcome:
         left = [left_reps[i], *_unrank(nv, h1 - 1, row1)]
         vecs = vs.coords[left + [reps[j], *_unrank(nv, h2 - 1, row2)]].tolist()
         cycle = _rebuild(vs.t, vecs[:h1], vecs[h1:])
-        return SearchOutcome(vs.t, n, cycle, nodes, time.perf_counter() - start)
-    return SearchOutcome(vs.t, n, None, nodes, time.perf_counter() - start)
+        return SearchOutcome(n, cycle, nodes)
+    return SearchOutcome(n, None, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +582,12 @@ def modified_five_cycle(t: int) -> SearchOutcome:
     """
     if t % 4 != 2:
         raise ValueError(f"modified_five_cycle requires t = 2 (mod 4), got {t}")
-    start = time.perf_counter()
     vs = vector_set(t)
     nv = len(vs)
     if nv == 0:
-        return SearchOutcome(t, 5, None, 0, time.perf_counter() - start)
+        return SearchOutcome(5, None, 0)
     if len(vs.reps) * nv > MEMORY_BUDGET:
-        elapsed = time.perf_counter() - start
-        return SearchOutcome(t, 5, None, 0, elapsed, budget_exceeded=True)
+        return SearchOutcome(5, None, 0, budget_exceeded=True)
 
     base = _key_base(t, vs.coords, 3)
     keys = _keys(vs.coords, base)
@@ -613,11 +603,11 @@ def modified_five_cycle(t: int) -> SearchOutcome:
     hit, nodes = _first_hit(left, probes)
 
     if hit is None:
-        return SearchOutcome(t, 5, None, nodes, time.perf_counter() - start)
+        return SearchOutcome(5, None, nodes)
     (ti, k), (m, i) = divmod(hit[0], nv), divmod(hit[1], len(reps))
     a, b, c = vs.coords[[reps[i], m, k]].tolist()
     cycle = _rebuild(t, [a, b], [c, *_closing_pair(t, tlist[ti])])
-    return SearchOutcome(t, 5, cycle, nodes, time.perf_counter() - start)
+    return SearchOutcome(5, cycle, nodes)
 
 
 # ---------------------------------------------------------------------------

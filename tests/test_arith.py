@@ -1,7 +1,11 @@
 """Arithmetic foundations, checked against independent brute-force oracles."""
 
+import os
 import random
+import subprocess
+import sys
 from math import isqrt, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from oddcycles import arith
 from oddcycles.arith import (
     MAX_INPUT,
+    MAX_ROWS,
     STClass,
     Triple,
     classify,
@@ -22,6 +27,25 @@ from oddcycles.arith import (
     odd_primes,
     reduce_mod4,
 )
+from oddcycles.search import _key_base
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# 2**60 - 1 passes vector_set's key bound but has about 4.5*10**8 rows; run
+# under a 2 GiB address-space limit, a missing row bound ends in MemoryError
+ROW_BOUND_UNDER_2GIB = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from oddcycles.arith import enumerate_triples
+from oddcycles.cli import main
+from oddcycles.vectors import vector_set
+for f in (vector_set, enumerate_triples):
+    try:
+        f(2**60 - 1)
+    except ValueError:
+        print(f.__name__, "ValueError")
+print("vectors exit", main(["vectors", str(2**60 - 1)]))
+"""
 
 
 def squarefree_part(n: int) -> int:
@@ -395,6 +419,36 @@ class TestEnumerateTriples:
         for p in [p for p in odd_primes(10**5) if p % 4 == 1] + [top]:
             x, y = arith._prime_split(p)
             assert x * x + y * y == p, p
+
+    @pytest.mark.parametrize("z", [1, 22, 1002, 10**6, 10**6 + 1])
+    def test_row_bound_is_inclusive(self, monkeypatch, z):
+        rows = isqrt(z) - isqrt((z - 1) // 3)  # c from isqrt((z-1)/3) + 1 to isqrt(z)
+        want = enumerate_triples(z)
+        monkeypatch.setattr(arith, "MAX_ROWS", rows)
+        assert enumerate_triples(z) == want
+        monkeypatch.setattr(arith, "MAX_ROWS", rows - 1)
+        with pytest.raises(ValueError, match=f"has {rows} rows, more than MAX_ROWS"):
+            enumerate_triples(z)
+
+    def test_row_bound_admits_every_t_the_five_cycle_key_takes(self):
+        # the n = 5 key (span 3) takes t exactly while isqrt(t) <= 349525
+        top = 349526**2 - 1
+        _key_base(top, np.array([[isqrt(top), 0, 0]]), 3)
+        with pytest.raises(ValueError):
+            _key_base(top + 1, np.array([[isqrt(top + 1), 0, 0]]), 3)
+        assert isqrt(top) - isqrt((top - 1) // 3) <= MAX_ROWS
+
+    def test_row_bound_refuses_before_allocating(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", ROW_BOUND_UNDER_2GIB],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines() == [
+            "vector_set ValueError", "enumerate_triples ValueError", "vectors exit 2",
+        ]
+        assert "453816692 rows, more than MAX_ROWS = 524288" in proc.stderr
 
 
 def counts_up_to(limit: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from test_arith import LARGE_PAIRS
 
-from oddcycles import search
+from oddcycles import arith, search
 from oddcycles.cli import build_parser, main
 from oddcycles.constructions import k4_triangle, triangle_cycle
 from oddcycles.resolver import Reason, compute_C
@@ -61,7 +61,7 @@ class TestSearchOverBudget:
     @pytest.fixture(autouse=True)
     def over_budget(self, monkeypatch):
         def budget_outcome(vs, n):
-            return SearchOutcome(vs.t, n, None, 0, 0.0, budget_exceeded=True)
+            return SearchOutcome(n, None, 0, budget_exceeded=True)
 
         monkeypatch.setattr(search, "meet_in_middle", budget_outcome)
 
@@ -111,6 +111,22 @@ class TestSmallCommands:
         assert code == 0
         assert "|V(1002)| = 192" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vectors", "1002"],
+            ["decompose", "1002"],
+            ["c", "3", "1002"],
+            ["run", "--range", "1002..1002", "--out", "{tmp}/r.jsonl"],
+        ],
+    )
+    def test_refused_past_the_row_bound(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setattr(arith, "MAX_ROWS", 12)  # 1002 has rows c = 19..31
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: z=1002 has 13 rows, more than MAX_ROWS = 12\n"
+
     def test_vectors_list(self, capsys):
         _, out, _ = run(capsys, "vectors", "22", "--list")
         body = out.splitlines()[1:]
@@ -145,6 +161,33 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "1002", "--algo", "modified")
         assert code == 0
         assert "verified: true" in out
+
+    @pytest.mark.parametrize(
+        "argv,length,nodes,cycle",
+        [
+            (
+                ["999994", "--algo", "mitm"], 5, 50400,
+                "(-999,-43,-12) (-999,12,-43) (315,335,888) (840,137,-525) (843,-441,-308)",
+            ),
+            (
+                ["1002", "--algo", "modified"], 5, 2688,
+                "(-25,-11,-16) (-16,-25,11) (5,31,-4) (11,16,25) (25,-11,-16)",
+            ),
+            (["22", "--algo", "brute", "--length", "5"], 5, 21184, None),
+        ],
+        ids=["mitm", "modified", "brute"],
+    )
+    def test_output_lines(self, capsys, argv, length, nodes, cycle):
+        code, out, err = run(capsys, "search", *argv)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert re.fullmatch(r"elapsed_s: \d+\.\d{3}", lines.pop(4))
+        assert lines[:4] == [
+            f"t: {argv[0]}", f"length: {length}",
+            f"exhausted: {cycle is None}", f"nodes_examined: {nodes}",
+        ]
+        tail = ["cycle: none"] if cycle is None else [f"cycle: {cycle}", "verified: true"]
+        assert lines[4:] == tail
 
     def test_mitm_exhausts(self, capsys):
         code, out, _ = run(capsys, "search", "22", "--algo", "mitm", "--length", "5")

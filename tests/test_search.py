@@ -85,8 +85,8 @@ class TestVerifyCycle:
         # python -O strips asserts; the certificate check must still run
         code = (
             "from oddcycles.search import OddCycle, SearchOutcome\n"
-            "SearchOutcome(t=2, length_tried=3, found=OddCycle(2, ((1, 1, 0),) * 3),"
-            " nodes_examined=0, elapsed=0.0)\n"
+            "SearchOutcome(length_tried=3, found=OddCycle(2, ((1, 1, 0),) * 3),"
+            " nodes_examined=0)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(
@@ -311,7 +311,7 @@ class TestMinOddCycle:
 
     def test_memory_error_ends_ladder_unresolved(self, monkeypatch):
         def over_budget(vs, n):
-            return search.SearchOutcome(vs.t, n, None, 7, 0.0, budget_exceeded=True)
+            return search.SearchOutcome(n, None, 7, budget_exceeded=True)
 
         monkeypatch.setattr(search, "meet_in_middle", over_budget)
         outcomes = min_odd_cycle(10)
@@ -726,6 +726,24 @@ class TestJoinKernel:
             capped = list(_probe_chunks(iter(arrays), _keys(bvecs, base), base, cap))
             got = np.concatenate(capped) if capped else np.zeros(0, dtype=np.int64)
             assert got.tolist() == want[: cap // 7 * 7].tolist()
+
+
+class TestRepeatability:
+    """An engine called twice on the same input gives equal outcomes."""
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            lambda: brute_force(vector_set(22), 9),
+            lambda: meet_in_middle(vector_set(999994), 5),
+            lambda: modified_five_cycle(1002),
+            lambda: min_odd_cycle(2062),
+        ],
+        ids=["brute_force", "meet_in_middle", "modified_five_cycle", "min_odd_cycle"],
+    )
+    def test_same_input_same_outcome(self, engine):
+        first = engine()
+        assert engine() == first
 
 
 class TestPinnedCertificates:
