@@ -1,8 +1,10 @@
 """Top-level dispatcher for the minimum odd cycle length C(m, r).
 
 ``reason_of`` is the single place the closed-form rules live, for
-compute_C and record validation alike; m = 3 with a class-T core falls
-through to the search engines.  Every nonzero answer carries a certificate.
+compute_C and record validation alike.  For m = 3 with an even core the
+core's S/T class decides, read once with the cached ``classify``: class S
+gets the triangle construction, class T goes straight to the search
+ladder.  Every nonzero answer carries a certificate.
 """
 
 from __future__ import annotations
@@ -75,12 +77,14 @@ def compute_C(m: int, r: int) -> CmResult:
         return CmResult(m, r, 0, reason, None, core)
     if reason is Reason.K4_CONSTRUCTION:
         return CmResult(m, r, 3, reason, k4_triangle(m, r), r)
-    try:
-        # triangle_cycle's search is the class-S test: it raises ValueError
-        # on a class-T core, so classify runs once, as min_odd_cycle's guard
+    # The core's class decides, read once with the cached classify: class S
+    # has a triangle, and a class-T core goes straight to the ladder, not
+    # through the O(sqrt t) triangle loop that would find none.
+    cls = classify(core)
+    if cls is STClass.S:
         found, reason, nodes = triangle_cycle(core), Reason.TRIANGLE, 0
-    except ValueError:
-        outcomes = min_odd_cycle(core)
+    else:
+        outcomes = min_odd_cycle(core, cls)
         found, nodes = outcomes[-1].found, sum(out.nodes_examined for out in outcomes)
     if found is None:
         return CmResult(m, r, None, Reason.UNRESOLVED, None, core, nodes)

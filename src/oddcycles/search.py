@@ -88,6 +88,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb, isqrt
+from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -120,24 +121,30 @@ class CycleDiagnostics:
     reason: Optional[str] = None
 
 
+_VALID = CycleDiagnostics(True)
+
+
 def verify_cycle(c: OddCycle) -> CycleDiagnostics:
-    """Check odd length, uniform squared magnitude t, and zero sum."""
-    n = len(c.vectors)
-    if n == 0 or n % 2 == 0:
+    """Check odd length, one dimension, uniform squared magnitude t, and zero
+    sum, reporting the first that fails in that order."""
+    vecs, t = c.vectors, c.t
+    n = len(vecs)
+    if n % 2 == 0:
         return CycleDiagnostics(False, f"length {n} is not odd")
-    dims = {len(v) for v in c.vectors}
-    if len(dims) != 1:
-        return CycleDiagnostics(False, "mixed vector dimensions")
-    for i, v in enumerate(c.vectors):
-        if magnitude_sq(v) != c.t:
-            return CycleDiagnostics(
-                False, f"vector {i} has squared magnitude {magnitude_sq(v)} != {c.t}"
-            )
-    m = dims.pop()
-    total = tuple(sum(v[j] for v in c.vectors) for j in range(m))
+    m, bad = len(vecs[0]), None
+    for i, v in enumerate(vecs):
+        if len(v) != m:
+            return CycleDiagnostics(False, "mixed vector dimensions")
+        if bad is None and sum(map(mul, v, v)) != t:
+            bad = i
+    if bad is not None:
+        return CycleDiagnostics(
+            False, f"vector {bad} has squared magnitude {magnitude_sq(vecs[bad])} != {t}"
+        )
+    total = tuple(map(sum, zip(*vecs)))
     if any(total):
         return CycleDiagnostics(False, f"sum is {total}, not zero")
-    return CycleDiagnostics(True)
+    return _VALID
 
 
 @dataclass(frozen=True)
@@ -615,16 +622,17 @@ def modified_five_cycle(t: int) -> SearchOutcome:
 # ---------------------------------------------------------------------------
 
 
-def min_odd_cycle(t: int) -> tuple[SearchOutcome, ...]:
+def min_odd_cycle(t: int, cls: Optional[STClass] = None) -> tuple[SearchOutcome, ...]:
     """The meet_in_middle outcomes at odd lengths 5, 7, ... for t in class T.
 
     T membership puts the floor at 5, so the ladder runs until an outcome
     is not exhausted or N_MAX is passed; V(t) is built once.  The last
     outcome's found is the minimum odd cycle, its certificate; None means
     unresolved, either every length up to N_MAX exhausted or the last
-    length budget_exceeded.
+    length budget_exceeded.  cls is t's class where the caller has read
+    it already; without it classify reads it here.
     """
-    if classify(t) is not STClass.T:
+    if (classify(t) if cls is None else cls) is not STClass.T:
         raise ValueError(f"min_odd_cycle requires t in class T, got {t}")
     vs = vector_set(t)
     outcomes: list[SearchOutcome] = []

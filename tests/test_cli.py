@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from test_arith import LARGE_PAIRS
 
-from oddcycles import arith, search
+from oddcycles import arith, resolver, search
 from oddcycles.cli import build_parser, main
 from oddcycles.constructions import k4_triangle, triangle_cycle
 from oddcycles.resolver import Reason, compute_C
@@ -126,6 +126,17 @@ class TestSmallCommands:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: z=1002 has 13 rows, more than MAX_ROWS = 12\n"
+
+    def test_large_class_t_refused_before_any_triangle_search(self, capsys, monkeypatch):
+        # 2000000000002 = 2 * 73 * 137 * 99990001 is class T: the row bound
+        # refuses it, and no O(sqrt t) triangle loop runs first
+        def no_triangle(s):
+            raise AssertionError(f"triangle_cycle ran on the class-T core {s}")
+
+        monkeypatch.setattr(resolver, "triangle_cycle", no_triangle)
+        code, out, err = run(capsys, "c", "3", "2000000000002")
+        assert code == 2 and out == ""
+        assert err == "error: z=2000000000002 has 597717 rows, more than MAX_ROWS = 524288\n"
 
     def test_vectors_list(self, capsys):
         _, out, _ = run(capsys, "vectors", "22", "--list")

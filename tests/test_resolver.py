@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from oddcycles import arith, search
+from oddcycles import arith, resolver, search
 from oddcycles.arith import STClass, classify, enumerate_triples
+from oddcycles.constructions import triangle_cycle
 from oddcycles.resolver import Reason, compute_C
 from oddcycles.search import verify_cycle
 
@@ -150,3 +151,14 @@ def test_classifies_at_most_once_per_resolve(monkeypatch):
         if core % 2 == 0:
             cls = arith.classify(core)
             assert res.reason is (Reason.TRIANGLE if cls is STClass.S else Reason.SEARCHED), r
+
+
+def test_class_t_cores_never_reach_the_triangle_loop(monkeypatch):
+    def class_s_only(s):
+        if arith.classify(s) is STClass.T:
+            raise AssertionError(f"triangle_cycle ran on the class-T core {s}")
+        return triangle_cycle(s)
+
+    monkeypatch.setattr(resolver, "triangle_cycle", class_s_only)
+    reasons = {compute_C(3, t).reason for t in range(1, 2000)}
+    assert reasons == {Reason.ODD_R, Reason.TRIANGLE, Reason.SEARCHED}

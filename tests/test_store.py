@@ -2,12 +2,14 @@
 
 import json
 from dataclasses import replace
+from typing import Iterator, Optional
 
 import pytest
 
 from oddcycles import resolver, search
 from oddcycles.constructions import k4_triangle
 from oddcycles.resolver import NONEXISTENT_REASONS, Reason, compute_C
+from oddcycles.search import OddCycle
 from oddcycles.store import (
     RecordValidationError,
     ResultRecord,
@@ -232,6 +234,186 @@ class TestReasonGrid:
             monkeypatch.setattr(resolver, name, forbidden)
         for rec in records:
             rec.validate()
+
+
+KEY_ORDER = (
+    "schema_version", "t", "m", "value", "reason", "certificate", "algorithm",
+    "elapsed_ms", "nodes_examined", "shard_id", "worker_count",
+)
+INT_FIELDS = (
+    "schema_version", "t", "m", "value", "elapsed_ms", "nodes_examined", "shard_id",
+    "worker_count",
+)
+
+
+def verify_cycle_oracle(t: int, vectors) -> Optional[str]:
+    """The checks of verify_cycle, one at a time over the sorted vectors, as
+    they were written before its single pass: the first failure, or None."""
+    vecs = sorted(tuple(v) for v in vectors)
+    n = len(vecs)
+    if n == 0 or n % 2 == 0:
+        return f"length {n} is not odd"
+    dims = {len(v) for v in vecs}
+    if len(dims) != 1:
+        return "mixed vector dimensions"
+    for i, v in enumerate(vecs):
+        if sum(x * x for x in v) != t:
+            return f"vector {i} has squared magnitude {sum(x * x for x in v)} != {t}"
+    m = dims.pop()
+    total = tuple(sum(v[j] for v in vecs) for j in range(m))
+    if any(total):
+        return f"sum is {total}, not zero"
+    return None
+
+
+def validate_oracle(rec: ResultRecord) -> None:
+    """ResultRecord.validate as it was written before its fast paths: every
+    check, in the same order, with the same messages."""
+
+    def is_int(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    for name in INT_FIELDS:
+        x = getattr(rec, name)
+        if not is_int(x) and not (name == "value" and x is None):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+    for x in (x for v in rec.certificate or () for x in v):
+        if not is_int(x):
+            raise ValueError(f"certificate entry must be an integer, got {x!r}")
+    if rec.schema_version != 1:
+        raise ValueError(f"schema_version {rec.schema_version} unsupported")
+    try:
+        reason = Reason(rec.reason)
+    except ValueError:
+        raise ValueError(f"unknown reason {rec.reason!r}") from None
+    if rec.algorithm not in ("closed-form", "modified+meet-in-middle"):
+        raise ValueError(f"unknown algorithm {rec.algorithm!r}")
+    if reason in NONEXISTENT_REASONS and (rec.value, rec.certificate) != (0, None):
+        raise ValueError(f"reason {rec.reason} requires value 0, no certificate")
+    if reason is Reason.UNRESOLVED and (rec.value, rec.certificate) != (None, None):
+        raise ValueError("unresolved record must have null value and certificate")
+    if any(len(v) != rec.m for v in rec.certificate or ()):
+        raise ValueError(f"certificate vectors are not all in Z^{rec.m}")
+    expected = resolver.settled_reason(rec.m, rec.t)
+    if reason is not expected and (expected, reason) != (Reason.SEARCHED, Reason.UNRESOLVED):
+        raise ValueError(
+            f"reason {rec.reason} does not hold at m={rec.m}, t={rec.t}: "
+            f"the resolver gives {expected.value}"
+        )
+    if reason in NONEXISTENT_REASONS or reason is Reason.UNRESOLVED:
+        return
+    if rec.value is None or rec.value < 3 or rec.value % 2 == 0:
+        raise ValueError(f"value {rec.value} is not an odd integer >= 3")
+    if rec.certificate is None:
+        raise ValueError(f"reason {rec.reason} requires a certificate")
+    failure = verify_cycle_oracle(rec.t, rec.certificate)
+    if failure is not None:
+        raise ValueError(f"certificate fails verification: {failure}")
+    if len(rec.certificate) != rec.value:
+        raise ValueError(f"certificate length {len(rec.certificate)} != value {rec.value}")
+
+
+def from_json_oracle(line: str) -> ResultRecord:
+    """ResultRecord.from_json as it was written when it built the record
+    through __init__."""
+    data = json.loads(line)
+    if not isinstance(data, dict):
+        raise ValueError("record is not a JSON object")
+    cert = data.get("certificate")
+    if cert is not None:
+        cert = tuple(tuple(v) for v in cert)
+    values = {k: data[k] for k in KEY_ORDER if k != "certificate"}
+    return ResultRecord(certificate=cert, **values)
+
+
+def outcome(check, arg):
+    """(exception type, message) of check(arg), or its result."""
+    try:
+        return check(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def mutations(rec: ResultRecord) -> Iterator[ResultRecord]:
+    """Records one change away from rec, each valid or not."""
+    for name in INT_FIELDS:
+        x = getattr(rec, name)
+        for bad in (float(x or 0), str(x), True, None):
+            yield replace(rec, **{name: bad})
+    cert = rec.certificate or ()
+    for i, v in enumerate(cert):
+        for j in range(len(v)):
+            for bad in (float(v[j]), str(v[j]), True, None, v[j] + 1):
+                u = v[:j] + (bad,) + v[j + 1:]
+                yield replace(rec, certificate=cert[:i] + (u,) + cert[i + 1:])
+        yield replace(rec, certificate=cert[:i] + cert[i + 1:])
+        yield replace(rec, certificate=cert[:i] + (v + (0,),) + cert[i + 1:])
+    for reason in (*Reason, *(r.value for r in Reason), "vibes", ["Searched"], 5):
+        yield replace(rec, reason=reason)
+    other = {"closed-form": "modified+meet-in-middle"}.get(rec.algorithm, "closed-form")
+    yield replace(rec, algorithm=other)
+    yield replace(rec, schema_version=2)
+    if rec.value is not None:
+        yield replace(rec, value=rec.value + 2)
+        yield replace(rec, value=rec.value - 2)
+
+
+@pytest.fixture(scope="module")
+def reference_records() -> list[ResultRecord]:
+    """The records of `run --range 2..1998`, then compute_C's for m = 4..6
+    on TestReasonGrid's t, whose certificates lie in Z^4 to Z^6."""
+    ts = [*range(1, 201), 256, 1024, 4096]
+    results = [compute_C(3, t) for t in range(2, 1999, 4)]
+    results += [compute_C(m, t) for m in (4, 5, 6) for t in ts]
+    return [ResultRecord.from_result(res, elapsed_ms=0, shard_id=0) for res in results]
+
+
+class TestMatchesOracle:
+    """validate, from_json and to_json against their earlier forms."""
+
+    def test_validate_accepts_and_rejects_as_oracle(self, reference_records):
+        checked = rejected = 0
+        for rec in reference_records:
+            for bad in (rec, *mutations(rec)):
+                want = outcome(validate_oracle, bad)
+                assert outcome(ResultRecord.validate, bad) == want, bad
+                checked += 1
+                rejected += want is not None
+        assert 0 < rejected < checked
+
+    def test_verify_cycle_as_oracle(self, reference_records):
+        # validate checks the dimension first; here a longer vector can come
+        # after a vector of the wrong magnitude
+        for rec in reference_records:
+            cert = rec.certificate or ()
+            cases = [cert]
+            for i, v in enumerate(cert):
+                bumped = cert[:i] + ((v[0] + 1, *v[1:]),) + cert[i + 1:]
+                cases += [bumped, cert[:i] + cert[i + 1:], cert[:i] + (v + (0,),) + cert[i + 1:]]
+                if i:
+                    cases.append(bumped[:-1] + (bumped[-1] + (0,),))
+            for vecs in cases:
+                diag = search.verify_cycle(OddCycle.from_vectors(rec.t, vecs))
+                want = verify_cycle_oracle(rec.t, vecs)
+                assert (diag.valid, diag.reason) == (want is None, want), (rec.t, vecs)
+
+    def test_json_round_trip_as_oracle(self, reference_records):
+        for rec in reference_records:
+            line = rec.to_json()
+            fields = {k: getattr(rec, k) for k in KEY_ORDER}
+            assert line == json.dumps(fields, separators=(",", ":"))
+            data = json.loads(line)
+            variants = [line, json.dumps({**data, "extra": 1}), "[]", "5"]
+            variants += [json.dumps({**data, "certificate": c}) for c in (5, [5], "ab")]
+            for k in KEY_ORDER:
+                variants.append(json.dumps({**data, k: None}))
+                variants.append(json.dumps({j: x for j, x in data.items() if j != k}))
+            for text in variants:
+                want = outcome(from_json_oracle, text)
+                got = outcome(ResultRecord.from_json, text)
+                assert got == want, text
+                if isinstance(want, ResultRecord):
+                    assert got.to_json() == want.to_json()
 
 
 class TestMerge:
