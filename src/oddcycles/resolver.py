@@ -2,9 +2,8 @@
 
 ``reason_of`` is the single place the closed-form rules live, for
 compute_C and record validation alike.  For m = 3 with an even core the
-core's S/T class decides, read once with the cached ``classify``: class S
-gets the triangle construction, class T goes straight to the search
-ladder.  Every nonzero answer carries a certificate.
+core's S/T class decides: class S gets the triangle construction, class T
+the search ladder.  Every nonzero answer carries a certificate.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from math import isqrt
 from typing import Optional
 
 from .arith import STClass, classify, reduce_mod4
-from .search import OddCycle, min_odd_cycle
+from .search import NotClassT, OddCycle, min_odd_cycle
 from .constructions import k4_triangle, triangle_cycle
 
 
@@ -77,14 +76,14 @@ def compute_C(m: int, r: int) -> CmResult:
         return CmResult(m, r, 0, reason, None, core)
     if reason is Reason.K4_CONSTRUCTION:
         return CmResult(m, r, 3, reason, k4_triangle(m, r), r)
-    # The core's class decides, read once with the cached classify: class S
-    # has a triangle, and a class-T core goes straight to the ladder, not
-    # through the O(sqrt t) triangle loop that would find none.
-    cls = classify(core)
-    if cls is STClass.S:
+    try:
+        # min_odd_cycle's guard is the resolve's one classify: a class-T core
+        # goes to the ladder, and a class-S core, refused, to the triangle
+        # construction, so the O(sqrt t) triangle loop never runs on class T
+        outcomes = min_odd_cycle(core)
+    except NotClassT:
         found, reason, nodes = triangle_cycle(core), Reason.TRIANGLE, 0
     else:
-        outcomes = min_odd_cycle(core, cls)
         found, nodes = outcomes[-1].found, sum(out.nodes_examined for out in outcomes)
     if found is None:
         return CmResult(m, r, None, Reason.UNRESOLVED, None, core, nodes)

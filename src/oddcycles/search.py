@@ -622,18 +622,21 @@ def modified_five_cycle(t: int) -> SearchOutcome:
 # ---------------------------------------------------------------------------
 
 
-def min_odd_cycle(t: int, cls: Optional[STClass] = None) -> tuple[SearchOutcome, ...]:
+class NotClassT(ValueError):
+    """min_odd_cycle's refusal of a t outside class T."""
+
+
+def min_odd_cycle(t: int) -> tuple[SearchOutcome, ...]:
     """The meet_in_middle outcomes at odd lengths 5, 7, ... for t in class T.
 
     T membership puts the floor at 5, so the ladder runs until an outcome
     is not exhausted or N_MAX is passed; V(t) is built once.  The last
     outcome's found is the minimum odd cycle, its certificate; None means
     unresolved, either every length up to N_MAX exhausted or the last
-    length budget_exceeded.  cls is t's class where the caller has read
-    it already; without it classify reads it here.
+    length budget_exceeded.  A t outside class T raises NotClassT.
     """
-    if (classify(t) if cls is None else cls) is not STClass.T:
-        raise ValueError(f"min_odd_cycle requires t in class T, got {t}")
+    if classify(t) is not STClass.T:
+        raise NotClassT(f"min_odd_cycle requires t in class T, got {t}")
     vs = vector_set(t)
     outcomes: list[SearchOutcome] = []
     for n in range(5, N_MAX + 1, 2):

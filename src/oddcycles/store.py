@@ -7,10 +7,7 @@ that the integer fields and certificate entries are ints, the schema
 version, the reason and algorithm labels, the value and certificate each
 reason allows, the certificate's dimension, that the reason is the one the
 resolver gives its (m, t), whichever shard wrote the file, and that the
-certificate passes verify_cycle with as many vectors as the value.  Each
-check costs what it needs: one type() test per value (the per-field loop
-runs only to name a bad one), one dict lookup for the reason, and one
-verify_cycle pass over the certificate as stored.
+certificate passes verify_cycle with as many vectors as the value.
 """
 
 from __future__ import annotations
@@ -18,8 +15,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
-from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Optional, Sequence
 
@@ -66,18 +61,15 @@ class ResultRecord:
         return _ENCODER.encode({k: getattr(self, k) for k in _KEY_ORDER})
 
     def validate(self) -> None:
-        # The type checks below run only to name the first bad value, when
-        # the one type() test per value finds something that is not an int.
-        if not set(map(type, _int_values(self))) <= _INT:
-            for name in _INT_FIELDS:
-                x = getattr(self, name)
-                if not _is_int(x) and not (name == "value" and x is None):
-                    raise ValueError(f"{name} must be an integer, got {x!r}")
-        entries = chain.from_iterable(self.certificate or ())
-        if not set(map(type, entries)) <= _INT:
-            for x in (x for v in self.certificate or () for x in v):
-                if not _is_int(x):
-                    raise ValueError(f"certificate entry must be an integer, got {x!r}")
+        # type() is int settles almost every value; _is_int and the None
+        # allowance decide the rest
+        for name in _INT_FIELDS:
+            x = getattr(self, name)
+            if not (type(x) is int or _is_int(x) or name == "value" and x is None):
+                raise ValueError(f"{name} must be an integer, got {x!r}")
+        for x in (x for v in self.certificate or () for x in v):
+            if not (type(x) is int or _is_int(x)):
+                raise ValueError(f"certificate entry must be an integer, got {x!r}")
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(f"schema_version {self.schema_version} unsupported")
         try:
@@ -86,12 +78,11 @@ class ResultRecord:
             raise ValueError(f"unknown reason {self.reason!r}") from None
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        nonexistent = reason in NONEXISTENT_REASONS
-        if nonexistent and (self.value, self.certificate) != (0, None):
+        if reason in NONEXISTENT_REASONS and (self.value, self.certificate) != (0, None):
             raise ValueError(f"reason {self.reason} requires value 0, no certificate")
         if reason is Reason.UNRESOLVED and (self.value, self.certificate) != (None, None):
             raise ValueError("unresolved record must have null value and certificate")
-        if not set(map(len, self.certificate or ())) <= {self.m}:
+        if any(len(v) != self.m for v in self.certificate or ()):
             raise ValueError(f"certificate vectors are not all in Z^{self.m}")
         expected = settled_reason(self.m, self.t)
         if reason is not expected and (expected, reason) != (Reason.SEARCHED, Reason.UNRESOLVED):
@@ -99,16 +90,14 @@ class ResultRecord:
                 f"reason {self.reason} does not hold at m={self.m}, t={self.t}: "
                 f"the resolver gives {expected.value}"
             )
-        if nonexistent or reason is Reason.UNRESOLVED:
+        if reason in NONEXISTENT_REASONS or reason is Reason.UNRESOLVED:
             return
         if self.value is None or self.value < 3 or self.value % 2 == 0:
             raise ValueError(f"value {self.value} is not an odd integer >= 3")
         if self.certificate is None:
             raise ValueError(f"reason {self.reason} requires a certificate")
-        diag = verify_cycle(OddCycle(self.t, self.certificate))
+        diag = verify_cycle(OddCycle.from_vectors(self.t, self.certificate))
         if not diag.valid:
-            # named as in the sorted cycle, as the vector indices always were
-            diag = verify_cycle(OddCycle.from_vectors(self.t, self.certificate))
             raise ValueError(f"certificate fails verification: {diag.reason}")
         if len(self.certificate) != self.value:
             raise ValueError(f"certificate length {len(self.certificate)} != value {self.value}")
@@ -142,13 +131,8 @@ class ResultRecord:
         cert = data.get("certificate")
         if cert is not None:
             cert = tuple(map(tuple, cert))
-        # The fields are set as the frozen dataclass's __init__ sets them, in
-        # key order, without first packing them into keyword arguments.  A
-        # missing key is a KeyError; extra keys are ignored.
-        rec = object.__new__(ResultRecord)
-        for k in _KEY_ORDER:
-            object.__setattr__(rec, k, cert if k == "certificate" else data[k])
-        return rec
+        values = {k: data[k] for k in _KEY_ORDER if k != "certificate"}
+        return ResultRecord(certificate=cert, **values)
 
 
 _KEY_ORDER = tuple(f.name for f in fields(ResultRecord))
@@ -157,8 +141,6 @@ _INT_FIELDS = (
     "worker_count",
 )
 
-_int_values = attrgetter(*_INT_FIELDS)
-_INT = {int}
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 _ALGORITHMS = ("closed-form", "modified+meet-in-middle")  # schema v1's labels

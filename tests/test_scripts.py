@@ -1,7 +1,6 @@
 """Smoke tests of the scripts in scripts/, run as a user would run them."""
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,18 +34,3 @@ def test_build_chart_from_source_checkout(tmp_path):
     assert "entries with C_3 > 5: 6" in proc.stdout
     assert "C_3(58) = 11" in proc.stdout
     assert len(out.read_text().splitlines()) == 1 + 50
-
-
-def test_ab_chart_on_this_tree_against_itself():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "ab_chart.py"), "--parent", str(ROOT),
-         "--change", str(ROOT), "--range", "2..98", "--rounds", "2"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].startswith("range 2..98, 2 rounds, freed memory kept: ")
-    assert lines[1] == "merged files identical with elapsed_ms zeroed"
-    assert lines[2].startswith("parent: cpu median ")
-    assert lines[3].startswith("change: cpu median ")
-    assert re.fullmatch(r"change/parent median \d+\.\d{3}, change won [012]/2 rounds", lines[4])

@@ -267,8 +267,8 @@ def verify_cycle_oracle(t: int, vectors) -> Optional[str]:
 
 
 def validate_oracle(rec: ResultRecord) -> None:
-    """ResultRecord.validate as it was written before its fast paths: every
-    check, in the same order, with the same messages."""
+    """ResultRecord.validate as it was written before its type() shortcut and
+    reason dict: every check, in the same order, with the same messages."""
 
     def is_int(x):
         return isinstance(x, int) and not isinstance(x, bool)
@@ -314,8 +314,8 @@ def validate_oracle(rec: ResultRecord) -> None:
 
 
 def from_json_oracle(line: str) -> ResultRecord:
-    """ResultRecord.from_json as it was written when it built the record
-    through __init__."""
+    """ResultRecord.from_json as it was written before its certificate was
+    converted with map."""
     data = json.loads(line)
     if not isinstance(data, dict):
         raise ValueError("record is not a JSON object")
