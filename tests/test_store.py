@@ -334,16 +334,20 @@ def outcome(check, arg):
         return type(exc), str(exc)
 
 
+class IntSubclass(int):
+    """An int that is not a bool: accepted wherever an integer is."""
+
+
 def mutations(rec: ResultRecord) -> Iterator[ResultRecord]:
     """Records one change away from rec, each valid or not."""
     for name in INT_FIELDS:
         x = getattr(rec, name)
-        for bad in (float(x or 0), str(x), True, None):
+        for bad in (float(x or 0), str(x), True, None, IntSubclass(x or 0)):
             yield replace(rec, **{name: bad})
     cert = rec.certificate or ()
     for i, v in enumerate(cert):
         for j in range(len(v)):
-            for bad in (float(v[j]), str(v[j]), True, None, v[j] + 1):
+            for bad in (float(v[j]), str(v[j]), True, None, IntSubclass(v[j]), v[j] + 1):
                 u = v[:j] + (bad,) + v[j + 1:]
                 yield replace(rec, certificate=cert[:i] + (u,) + cert[i + 1:])
         yield replace(rec, certificate=cert[:i] + cert[i + 1:])
