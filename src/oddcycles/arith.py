@@ -338,9 +338,13 @@ def count_reps(z: int) -> int:
 def four_square_decomposition(x: int) -> tuple[int, int, int, int]:
     """Lexicographically least 0 <= x1 <= x2 <= x3 <= x4 with sum of squares x."""
     _check_positive(x, "x")
-    x1 = 0
-    while 4 * x1 * x1 <= x:
+    for x1 in range(isqrt(x // 4) + 1):
         r1 = x - x1 * x1
+        odd4 = r1
+        while odd4 % 4 == 0:
+            odd4 //= 4
+        if odd4 % 8 == 7:  # Legendre: 4^a (8b + 7) is no sum of three squares
+            continue
         x2 = x1
         while 3 * x2 * x2 <= r1:
             r2 = r1 - x2 * x2
@@ -352,5 +356,4 @@ def four_square_decomposition(x: int) -> tuple[int, int, int, int]:
                     return (x1, x2, x3, x4)
                 x3 += 1
             x2 += 1
-        x1 += 1
     raise AssertionError(f"no four-square decomposition found for {x}")

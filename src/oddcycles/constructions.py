@@ -70,21 +70,6 @@ _TEMPLATES: dict[ParamId, tuple[Callable[[int, int], LatticeVector], ...]] = {
 }
 
 
-def _check_templates() -> None:
-    """Exactness guard over the transcribed templates at sample points."""
-    samples = [(1, 0), (0, 1), (1, 1), (-1, 2), (2, -1), (3, 2), (-2, -3), (5, 1), (1, 5)]
-    for pid, rows in _TEMPLATES.items():
-        form = FORMS[pid]
-        for x, y in samples:
-            vecs = [row(x, y) for row in rows]
-            want = form(x, y)
-            assert all(magnitude_sq(v) == want for v in vecs), (pid, x, y)
-            assert all(sum(col) == 0 for col in zip(*vecs)), (pid, x, y)
-
-
-_check_templates()
-
-
 def triangle_cycle(s: int) -> OddCycle:
     """Verified 3-cycle (equilateral triangle edge vectors) for s in class S.
 
@@ -94,7 +79,7 @@ def triangle_cycle(s: int) -> OddCycle:
     r = isqrt(2s - 3x^2) that is y = (r - x)/2, an integer because
     s = 2 (mod 4) gives r = x (mod 2).  Class S is the s = 2 (mod 4) with
     s/2 = x^2 + xy + y^2, so a loop that finds no root proves s is in
-    class T, and the search needs no factorization of s first.
+    class T; that raises, for a caller that has not classified s.
     """
     if s % 4 != 2:
         raise ValueError(f"triangle_cycle requires s = 2 (mod 4), got {s}")

@@ -1,9 +1,9 @@
 """Top-level dispatcher for the minimum odd cycle length C(m, r).
 
-``reason_of`` is the single place the closed-form rules live, for
-compute_C and record validation alike.  For m = 3 with an even core the
-core's S/T class decides: class S gets the triangle construction, class T
-the search ladder.  Every nonzero answer carries a certificate.
+``reason_of`` is the single place the dispatch rules live, for compute_C
+and record validation alike.  For m = 3 with an even core it classifies
+the core once: class S gets the triangle construction, class T the search
+ladder.  Every nonzero answer carries a certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from math import isqrt
 from typing import Optional
 
 from .arith import STClass, classify, reduce_mod4
-from .search import NotClassT, OddCycle, min_odd_cycle
+from .search import OddCycle, _ladder
 from .constructions import k4_triangle, triangle_cycle
 
 
@@ -44,7 +44,7 @@ class CmResult:
 
 def reason_of(m: int, r: int) -> tuple[Reason, int]:
     """The rule that settles C_m(r), and the reduced r it is read at;
-    SEARCHED stands for m = 3 with an even core, whose class decides."""
+    SEARCHED also stands for a search that ends UNRESOLVED."""
     if m < 1 or r < 1:
         raise ValueError(f"m and r must be positive, got ({m}, {r})")
     if r % 2 == 1:
@@ -59,14 +59,11 @@ def reason_of(m: int, r: int) -> tuple[Reason, int]:
     if m >= 4:
         return Reason.K4_CONSTRUCTION, r
     core, _ = reduce_mod4(r)
-    return (Reason.ODD_R if core % 2 == 1 else Reason.SEARCHED), core
-
-
-def settled_reason(m: int, r: int) -> Reason:
-    """compute_C's reason for C_m(r), SEARCHED also for UNRESOLVED, with no search."""
-    reason, core = reason_of(m, r)
-    triangle = reason is Reason.SEARCHED and classify(core) is STClass.S
-    return Reason.TRIANGLE if triangle else reason
+    if core % 2 == 1:
+        return Reason.ODD_R, core
+    # an even core is 2 (mod 4): class S has an equilateral triangle, class
+    # T has C_3 >= 5 and goes to the search
+    return (Reason.TRIANGLE if classify(core) is STClass.S else Reason.SEARCHED), core
 
 
 def compute_C(m: int, r: int) -> CmResult:
@@ -76,14 +73,10 @@ def compute_C(m: int, r: int) -> CmResult:
         return CmResult(m, r, 0, reason, None, core)
     if reason is Reason.K4_CONSTRUCTION:
         return CmResult(m, r, 3, reason, k4_triangle(m, r), r)
-    try:
-        # min_odd_cycle's guard is the resolve's one classify: a class-T core
-        # goes to the ladder, and a class-S core, refused, to the triangle
-        # construction, so the O(sqrt t) triangle loop never runs on class T
-        outcomes = min_odd_cycle(core)
-    except NotClassT:
-        found, reason, nodes = triangle_cycle(core), Reason.TRIANGLE, 0
+    if reason is Reason.TRIANGLE:
+        found, nodes = triangle_cycle(core), 0
     else:
+        outcomes = _ladder(core)
         found, nodes = outcomes[-1].found, sum(out.nodes_examined for out in outcomes)
     if found is None:
         return CmResult(m, r, None, Reason.UNRESOLVED, None, core, nodes)

@@ -622,10 +622,6 @@ def modified_five_cycle(t: int) -> SearchOutcome:
 # ---------------------------------------------------------------------------
 
 
-class NotClassT(ValueError):
-    """min_odd_cycle's refusal of a t outside class T."""
-
-
 def min_odd_cycle(t: int) -> tuple[SearchOutcome, ...]:
     """The meet_in_middle outcomes at odd lengths 5, 7, ... for t in class T.
 
@@ -633,10 +629,15 @@ def min_odd_cycle(t: int) -> tuple[SearchOutcome, ...]:
     is not exhausted or N_MAX is passed; V(t) is built once.  The last
     outcome's found is the minimum odd cycle, its certificate; None means
     unresolved, either every length up to N_MAX exhausted or the last
-    length budget_exceeded.  A t outside class T raises NotClassT.
+    length budget_exceeded.  A t outside class T raises ValueError.
     """
     if classify(t) is not STClass.T:
-        raise NotClassT(f"min_odd_cycle requires t in class T, got {t}")
+        raise ValueError(f"min_odd_cycle requires t in class T, got {t}")
+    return _ladder(t)
+
+
+def _ladder(t: int) -> tuple[SearchOutcome, ...]:
+    """min_odd_cycle without its class check, for a caller that has classified t."""
     vs = vector_set(t)
     outcomes: list[SearchOutcome] = []
     for n in range(5, N_MAX + 1, 2):

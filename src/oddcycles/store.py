@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Iterable, Optional, Sequence
 
-from .resolver import NONEXISTENT_REASONS, CmResult, Reason, settled_reason
+from .resolver import NONEXISTENT_REASONS, CmResult, Reason, reason_of
 from .search import OddCycle, verify_cycle
 
 SCHEMA_VERSION = 1
@@ -84,7 +84,7 @@ class ResultRecord:
             raise ValueError("unresolved record must have null value and certificate")
         if any(len(v) != self.m for v in self.certificate or ()):
             raise ValueError(f"certificate vectors are not all in Z^{self.m}")
-        expected = settled_reason(self.m, self.t)
+        expected = reason_of(self.m, self.t)[0]
         if reason is not expected and (expected, reason) != (Reason.SEARCHED, Reason.UNRESOLVED):
             raise ValueError(
                 f"reason {self.reason} does not hold at m={self.m}, t={self.t}: "

@@ -492,7 +492,40 @@ class TestCountReps:
         assert count_reps(z) == count_reps(4 * z)
 
 
+def four_square_scan(x: int) -> tuple[int, int, int, int]:
+    """four_square_decomposition as it was before the Legendre skip: every
+    x1 level scanned, O(x) time when x - x1^2 is no sum of three squares."""
+    x1 = 0
+    while 4 * x1 * x1 <= x:
+        r1 = x - x1 * x1
+        x2 = x1
+        while 3 * x2 * x2 <= r1:
+            r2 = r1 - x2 * x2
+            x3 = x2
+            while 2 * x3 * x3 <= r2:
+                r3 = r2 - x3 * x3
+                x4 = isqrt(r3)
+                if x4 * x4 == r3 and x4 >= x3:
+                    return (x1, x2, x3, x4)
+                x3 += 1
+            x2 += 1
+        x1 += 1
+    raise AssertionError(f"no four-square decomposition found for {x}")
+
+
 class TestFourSquares:
+    def test_matches_scan_to_20000(self):
+        for x in range(1, 20001):
+            assert four_square_decomposition(x) == four_square_scan(x), x
+
+    def test_matches_scan_where_three_squares_fail(self):
+        # x = 4^a (8b + 7), whose x1 = 0 level the skip leaves out
+        rng = random.Random(25)
+        for _ in range(40):
+            a = rng.randint(0, 4)
+            x = 4**a * (8 * rng.randint(0, (10**5 // 4**a - 7) // 8) + 7)
+            assert four_square_decomposition(x) == four_square_scan(x), x
+
     @pytest.mark.parametrize("x,expected", [(1, (0, 0, 0, 1)), (7, (1, 1, 1, 2))])
     def test_known_values(self, x, expected):
         assert four_square_decomposition(x) == expected

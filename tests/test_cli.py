@@ -138,6 +138,14 @@ class TestSmallCommands:
         assert code == 2 and out == ""
         assert err == "error: z=2000000000002 has 597717 rows, more than MAX_ROWS = 524288\n"
 
+    def test_k4_certificate_when_half_r_needs_four_squares(self, capsys):
+        # r/2 = 80000007 = 8b + 7 is no sum of three squares, so the four-square
+        # scan skips its x1 = 0 level
+        code, out, _ = run(capsys, "c", "4", "160000014")
+        assert code == 0
+        cert = "(-1061,8880,8882,-1063) (0,2,-7819,9943) (1061,-8882,-1063,-8880)"
+        assert f"certificate: {cert}\n" in out
+
     def test_vectors_list(self, capsys):
         _, out, _ = run(capsys, "vectors", "22", "--list")
         body = out.splitlines()[1:]

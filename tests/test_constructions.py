@@ -1,7 +1,9 @@
 """Closed-form builders: triangles, K4 points, template families, forms."""
 
+import ast
 import random
 from math import ceil, isqrt
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -199,3 +201,14 @@ class TestFormRepresents:
                 assert (got is not None) == (oracle is not None), (f, t)
                 if got is not None:
                     assert f(*got) == t
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so every runtime check in the
+    # package must raise explicitly
+    found = []
+    for path in sorted(Path(constructions.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

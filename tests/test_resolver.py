@@ -162,3 +162,18 @@ def test_class_t_cores_never_reach_the_triangle_loop(monkeypatch):
     monkeypatch.setattr(resolver, "triangle_cycle", class_s_only)
     reasons = {compute_C(3, t).reason for t in range(1, 2000)}
     assert reasons == {Reason.ODD_R, Reason.TRIANGLE, Reason.SEARCHED}
+
+
+def test_class_s_cores_never_reach_the_ladder(monkeypatch):
+    laddered = []
+
+    def spy(t):
+        laddered.append(t)
+        return search._ladder(t)
+
+    monkeypatch.setattr(resolver, "_ladder", spy)
+    results = [compute_C(3, t) for t in range(1, 2000)]
+    assert laddered and all(arith.classify(t) is STClass.T for t in laddered)
+    class_s = [res for res in results if res.reduced_r % 2 == 0
+               and arith.classify(res.reduced_r) is STClass.S]
+    assert class_s and all(res.reason is Reason.TRIANGLE for res in class_s)

@@ -230,7 +230,7 @@ class TestReasonGrid:
         def forbidden(*args):
             raise AssertionError("validate resolved the record again")
 
-        for name in ("triangle_cycle", "min_odd_cycle"):
+        for name in ("triangle_cycle", "_ladder"):
             monkeypatch.setattr(resolver, name, forbidden)
         for rec in records:
             rec.validate()
@@ -294,7 +294,7 @@ def validate_oracle(rec: ResultRecord) -> None:
         raise ValueError("unresolved record must have null value and certificate")
     if any(len(v) != rec.m for v in rec.certificate or ()):
         raise ValueError(f"certificate vectors are not all in Z^{rec.m}")
-    expected = resolver.settled_reason(rec.m, rec.t)
+    expected = resolver.reason_of(rec.m, rec.t)[0]
     if reason is not expected and (expected, reason) != (Reason.SEARCHED, Reason.UNRESOLVED):
         raise ValueError(
             f"reason {rec.reason} does not hold at m={rec.m}, t={rec.t}: "
