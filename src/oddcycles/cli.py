@@ -134,8 +134,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    records = store.load(args.infile)
-    print(f"{len(records)} records verified")
+    print(f"{store.verify(args.infile)} records verified")
     return EXIT_OK
 
 

@@ -96,6 +96,8 @@ def _sieve_block(u_lo: int, u_hi: int, primes: Sequence[int]) -> np.ndarray:
 
 def density_table(checkpoints: Sequence[int], workers: int = 1) -> list[DensityRow]:
     """One row per checkpoint n: |T_n| and g(n) = |T_n| / |(S u T)_n|."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not checkpoints:
         return []
     cps = list(checkpoints)
@@ -115,8 +117,8 @@ def density_table(checkpoints: Sequence[int], workers: int = 1) -> list[DensityR
     rows: list[DensityRow] = []
     cp_idx = 0
     t_total = 0
-    # the pool starts threads only on submit, so workers <= 1 starts none
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+    # the pool starts threads only on submit, so workers = 1 starts none
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         run = pool.map if workers > 1 else map
         results = run(lambda b: _sieve_block(*b, primes), blocks)
         for (lo, hi), is_t in zip(blocks, results):

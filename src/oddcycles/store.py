@@ -2,7 +2,11 @@
 
 One JSON object per line, fixed key order, UTF-8.  Records are
 self-verifying: ResultRecord.validate runs on every record at append and
-at every load (resume, merge and verify alike).  It checks, in this order,
+at every read (resume, merge and verify alike).  Every read streams the
+file, one line at a time, through one validating reader that keeps only
+(m, t) -> value for the in-file duplicate check; load keeps the records,
+resolved_keys their keys, merge one record per distinct (m, t), and
+verify only their count.  Validation checks, in this order,
 that the integer fields and certificate entries are ints, the schema
 version, the reason and algorithm labels, the value and certificate each
 reason allows, the certificate's dimension, that the reason is the one the
@@ -16,7 +20,7 @@ import json
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .resolver import NONEXISTENT_REASONS, CmResult, Reason, reason_of
 from .search import OddCycle, verify_cycle
@@ -29,9 +33,9 @@ class StoreError(Exception):
 
 
 class RecordValidationError(StoreError):
-    def __init__(self, path: Path, line_no: int, message: str) -> None:
+    def __init__(self, path: Path | str, line_no: int, message: str) -> None:
         super().__init__(f"{path}:{line_no}: {message}")
-        self.path = path
+        self.path = Path(path)
         self.line_no = line_no
 
 
@@ -163,14 +167,18 @@ def append(out: IO[str], record: ResultRecord) -> None:
 
 def load(path: Path | str) -> list[ResultRecord]:
     """Load and validate every record; any bad line rejects the whole file."""
-    path = Path(path)
     with open(path, "rb") as fh:
-        return _parse(path, fh)
+        return list(_records(path, fh))
 
 
-def _parse(path: Path, lines: Iterable[bytes]) -> list[ResultRecord]:
-    records: list[ResultRecord] = []
-    seen: dict[tuple[int, int], ResultRecord] = {}
+def verify(path: Path | str) -> int:
+    """Validate every record as load does, holding none; the record count."""
+    with open(path, "rb") as fh:
+        return sum(1 for _ in _records(path, fh))
+
+
+def _records(path: Path | str, lines: Iterable[bytes]) -> Iterator[ResultRecord]:
+    seen: dict[tuple[int, int], Optional[int]] = {}
     for line_no, raw in enumerate(lines, start=1):
         try:
             # UnicodeDecodeError is a ValueError: a non-UTF-8 line is a bad line
@@ -180,7 +188,7 @@ def _parse(path: Path, lines: Iterable[bytes]) -> list[ResultRecord]:
             rec = ResultRecord.from_json(line)
             rec.validate()
             key = (rec.m, rec.t)
-            clash = key in seen and seen[key].value != rec.value
+            clash = key in seen and seen[key] != rec.value
         except (ValueError, KeyError, TypeError) as exc:
             # TypeError: a field of the wrong JSON type, e.g. "certificate": 5
             raise RecordValidationError(path, line_no, str(exc)) from None
@@ -189,11 +197,10 @@ def _parse(path: Path, lines: Iterable[bytes]) -> list[ResultRecord]:
                 path,
                 line_no,
                 f"duplicate (m={rec.m}, t={rec.t}) with conflicting values "
-                f"{seen[key].value} vs {rec.value}",
+                f"{seen[key]} vs {rec.value}",
             )
-        seen[key] = rec
-        records.append(rec)
-    return records
+        seen[key] = rec.value
+        yield rec
 
 
 def drop_torn_tail(path: Path | str) -> Optional[str]:
@@ -201,20 +208,24 @@ def drop_torn_tail(path: Path | str) -> Optional[str]:
     append leaves it, and return its text.
 
     Returns None, changing nothing, when the file is absent, empty or ends
-    in a newline.  The complete lines are validated first, so a bad line
+    in a newline, which is decided from the last byte alone.  Otherwise the
+    complete lines are streamed through validation first, so a bad line
     among them raises RecordValidationError and the file stays as it was.
     """
-    path = Path(path)
-    if not path.exists():
+    if not Path(path).exists():
         return None
-    data = path.read_bytes()
-    if not data or data.endswith(b"\n"):
-        return None
-    cut = data.rfind(b"\n") + 1
-    _parse(path, data[:cut].split(b"\n"))
+    with open(path, "rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(max(size - 1, 0))
+        if fh.read(1) in (b"", b"\n"):
+            return None
+        fh.seek(0)
+        tail = b""  # the last line, the only one without a newline, is set aside
+        for _ in _records(path, (x for x in fh if x.endswith(b"\n") or (tail := x) is None)):
+            pass
     with open(path, "r+b") as fh:
-        fh.truncate(cut)
-    return data[cut:].decode("utf-8", errors="replace")
+        fh.truncate(size - len(tail))
+    return tail.decode("utf-8", errors="replace")
 
 
 def merge(paths: Sequence[Path | str], out: Path | str) -> list[ResultRecord]:
@@ -222,14 +233,11 @@ def merge(paths: Sequence[Path | str], out: Path | str) -> list[ResultRecord]:
     merged: dict[tuple[int, int], ResultRecord] = {}
     conflicts: list[str] = []
     for path in paths:
-        for rec in load(path):
-            key = (rec.m, rec.t)
-            if key in merged and merged[key].value != rec.value:
-                conflicts.append(
-                    f"(m={key[0]}, t={key[1]}): {merged[key].value} vs {rec.value}"
-                )
-            else:
-                merged.setdefault(key, rec)
+        with open(path, "rb") as fh:
+            for rec in _records(path, fh):
+                kept = merged.setdefault((rec.m, rec.t), rec)
+                if kept.value != rec.value:
+                    conflicts.append(f"(m={rec.m}, t={rec.t}): {kept.value} vs {rec.value}")
     if conflicts:
         raise StoreConflictError(conflicts)
     records = [merged[k] for k in sorted(merged)]
@@ -250,7 +258,7 @@ def merge(paths: Sequence[Path | str], out: Path | str) -> list[ResultRecord]:
 
 def resolved_keys(path: Path | str) -> set[tuple[int, int]]:
     """(m, t) pairs already present in a record file; empty if absent."""
-    path = Path(path)
-    if not path.exists():
+    if not Path(path).exists():
         return set()
-    return {(rec.m, rec.t) for rec in load(path)}
+    with open(path, "rb") as fh:
+        return {(rec.m, rec.t) for rec in _records(path, fh)}

@@ -257,6 +257,14 @@ class TestTableAndDensity:
         assert code == 0
         assert "2000,303,303,500,0.6060" in out
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_density_rejects_workers_below_one(self, capsys, workers):
+        code, out, err = run(
+            capsys, "density", "--checkpoints", "2000,100000", "--workers", workers,
+        )
+        assert code == 2
+        assert out == "" and "workers must be >= 1" in err
+
 
 class TestVerifyRunMerge:
     def test_run_then_verify(self, capsys, tmp_path):
@@ -268,6 +276,14 @@ class TestVerifyRunMerge:
         code, out, _ = run(capsys, "verify", "--in", str(out_path))
         assert code == 0
         assert f"{len(records)} records verified" in out
+
+    def test_verify_counts_identical_duplicates(self, capsys, tmp_path):
+        out_path = tmp_path / "r.jsonl"
+        run(capsys, "run", "--range", "2..10", "--out", str(out_path))
+        out_path.write_text(out_path.read_text() * 2)
+        code, out, _ = run(capsys, "verify", "--in", str(out_path))
+        assert code == 0
+        assert out == "6 records verified\n"
 
     def test_run_records_match_pinned_digest(self, capsys, tmp_path):
         out_path = tmp_path / "r.jsonl"

@@ -175,6 +175,11 @@ class TestDensityTable:
             density_table([10**5], workers=2)
         assert set(threading.enumerate()) <= before
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            density_table([10**5], workers=workers)
+
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             density_table([100, 50])

@@ -1,12 +1,13 @@
 """Record files: round-trips, self-verification on load, merge semantics."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from typing import Iterator, Optional
 
 import pytest
 
-from oddcycles import resolver, search
+from oddcycles import resolver, search, store
 from oddcycles.constructions import k4_triangle
 from oddcycles.resolver import NONEXISTENT_REASONS, Reason, compute_C
 from oddcycles.search import OddCycle
@@ -499,8 +500,63 @@ class TestDropTornTail:
         assert drop_torn_tail(path) == '{"schema_version":1,"t":2'
         assert path.read_text() == whole
 
+    def test_bad_complete_line_keeps_the_torn_tail(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        append_to(path, record_22())
+        text = path.read_text() + '{"schema_version":1}\n' + '{"schema_version":1,"t":2'
+        path.write_text(text)
+        with pytest.raises(RecordValidationError, match="out.jsonl:2"):
+            drop_torn_tail(path)
+        assert path.read_text() == text
+
     def test_lone_torn_line_leaves_empty_file(self, tmp_path):
         path = tmp_path / "out.jsonl"
         path.write_text('{"schema_version":1,"t":2')
         assert drop_torn_tail(path) == '{"schema_version":1,"t":2'
         assert path.read_text() == "" and load(path) == []
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes Python allocated while ``fn(*args)`` ran."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingReads:
+    """Only load holds a record per line; the other reads stream the file."""
+
+    LINES = 5000
+
+    @pytest.fixture(scope="class")
+    def repeated(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("streaming") / "repeated.jsonl"
+        # a value-0 record: no certificate to verify keeps the traced reads quick
+        line = ResultRecord.from_result(compute_C(3, 9), elapsed_ms=0, shard_id=0).to_json()
+        path.write_text((line + "\n") * self.LINES)
+        return path
+
+    @pytest.fixture(scope="class")
+    def load_peak(self, repeated):
+        return traced_peak(load, repeated)
+
+    @pytest.mark.parametrize("read", [
+        lambda path: store.verify(path),
+        lambda path: store.resolved_keys(path),
+        lambda path: store.merge([path], path.with_name("merged.jsonl")),
+    ], ids=["verify", "resolved_keys", "merge"])
+    def test_reads_hold_far_less_than_load(self, repeated, load_peak, read):
+        assert traced_peak(read, repeated) < load_peak / 10
+
+    def test_verify_counts_every_line(self, repeated):
+        assert store.verify(repeated) == self.LINES
+
+    def test_intact_file_is_decided_by_its_last_byte(self, repeated, tmp_path):
+        assert traced_peak(drop_torn_tail, repeated) < repeated.stat().st_size / 10
+        # complete lines are not validated when there is no torn tail to cut
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"schema_version":1}\n')
+        assert drop_torn_tail(bad) is None
