@@ -152,10 +152,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     # normalize both ends onto the t = 2 (mod 4) progression
     first = lo + ((2 - lo) % 4)
     targets = range(first + 4 * args.shard_id, hi + 1, 4 * args.shards)
-    torn = store.drop_torn_tail(args.out)
+    done, torn = store.resolved_keys(args.out)
     if torn is not None:
         print(f"warning: {args.out}: dropped unterminated last line {torn!r}", file=sys.stderr)
-    done = store.resolved_keys(args.out)
     unresolved = 0
     # the file opens at the first record, so a run with nothing left to do leaves it alone
     with contextlib.ExitStack() as stack:

@@ -18,6 +18,9 @@ from .search import OddCycle, verify_cycle
 from .vectors import LatticeVector, magnitude_sq
 
 
+K4_M_MAX = 1 << 20  # largest dimension k4_points pads its points to
+
+
 class ConstructionError(RuntimeError):
     """A closed-form builder failed where theory says it cannot."""
 
@@ -106,9 +109,10 @@ def param_cycle(p: ParamId, x: int, y: int) -> OddCycle:
 
 
 def k4_points(m: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """Four points of Z^m (m >= 4) with all six pairwise squared distances r."""
-    if m < 4:
-        raise ValueError(f"m must be >= 4, got {m}")
+    """Four points of Z^m with all six pairwise squared distances r.  Their
+    cost grows with m, so m is refused outside 4 <= m <= K4_M_MAX = 2^20."""
+    if not 4 <= m <= K4_M_MAX:
+        raise ValueError(f"m must be in 4..{K4_M_MAX}, got {m}")
     if r < 2 or r % 2 != 0:
         raise ValueError(f"r must be even and positive, got {r}")
     x1, x2, x3, x4 = four_square_decomposition(r // 2)

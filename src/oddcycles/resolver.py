@@ -3,7 +3,8 @@
 ``reason_of`` is the single place the dispatch rules live, for compute_C
 and record validation alike.  For m = 3 with an even core it classifies
 the core once: class S gets the triangle construction, class T the search
-ladder.  Every nonzero answer carries a certificate.
+ladder, entered through search.min_odd_cycle.  Every nonzero answer
+carries a certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import isqrt
 from typing import Optional
 
 from .arith import STClass, classify, reduce_mod4
-from .search import OddCycle, _ladder
+from .search import OddCycle, min_odd_cycle
 from .constructions import k4_triangle, triangle_cycle
 
 
@@ -76,7 +77,7 @@ def compute_C(m: int, r: int) -> CmResult:
     if reason is Reason.TRIANGLE:
         found, nodes = triangle_cycle(core), 0
     else:
-        outcomes = _ladder(core)
+        outcomes = min_odd_cycle(core)
         found, nodes = outcomes[-1].found, sum(out.nodes_examined for out in outcomes)
     if found is None:
         return CmResult(m, r, None, Reason.UNRESOLVED, None, core, nodes)

@@ -629,15 +629,12 @@ def min_odd_cycle(t: int) -> tuple[SearchOutcome, ...]:
     is not exhausted or N_MAX is passed; V(t) is built once.  The last
     outcome's found is the minimum odd cycle, its certificate; None means
     unresolved, either every length up to N_MAX exhausted or the last
-    length budget_exceeded.  A t outside class T raises ValueError.
+    length budget_exceeded.  A t outside class T raises ValueError; for
+    compute_C, which has classified t already, the check is a hit in
+    classify's cache.
     """
     if classify(t) is not STClass.T:
         raise ValueError(f"min_odd_cycle requires t in class T, got {t}")
-    return _ladder(t)
-
-
-def _ladder(t: int) -> tuple[SearchOutcome, ...]:
-    """min_odd_cycle without its class check, for a caller that has classified t."""
     vs = vector_set(t)
     outcomes: list[SearchOutcome] = []
     for n in range(5, N_MAX + 1, 2):

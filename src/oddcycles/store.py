@@ -5,13 +5,15 @@ self-verifying: ResultRecord.validate runs on every record at append and
 at every read (resume, merge and verify alike).  Every read streams the
 file, one line at a time, through one validating reader that keeps only
 (m, t) -> value for the in-file duplicate check; load keeps the records,
-resolved_keys their keys, merge one record per distinct (m, t), and
-verify only their count.  Validation checks, in this order,
-that the integer fields and certificate entries are ints, the schema
-version, the reason and algorithm labels, the value and certificate each
-reason allows, the certificate's dimension, that the reason is the one the
-resolver gives its (m, t), whichever shard wrote the file, and that the
-certificate passes verify_cycle with as many vectors as the value.
+merge one record per distinct (m, t), and verify only their count.  A run
+resume reads once, through resolved_keys: it keeps the keys of the
+complete lines and cuts off a torn last line once they have all
+validated.  Validation checks, in this order, that the integer fields and
+certificate entries are ints, the schema version, the reason and
+algorithm labels, the value and certificate each reason allows, the
+certificate's dimension, that the reason is the one the resolver gives
+its (m, t), whichever shard wrote the file, and that the certificate
+passes verify_cycle with as many vectors as the value.
 """
 
 from __future__ import annotations
@@ -203,31 +205,6 @@ def _records(path: Path | str, lines: Iterable[bytes]) -> Iterator[ResultRecord]
         yield rec
 
 
-def drop_torn_tail(path: Path | str) -> Optional[str]:
-    """Cut an unterminated last line off a record file, as a crash inside
-    append leaves it, and return its text.
-
-    Returns None, changing nothing, when the file is absent, empty or ends
-    in a newline, which is decided from the last byte alone.  Otherwise the
-    complete lines are streamed through validation first, so a bad line
-    among them raises RecordValidationError and the file stays as it was.
-    """
-    if not Path(path).exists():
-        return None
-    with open(path, "rb") as fh:
-        size = fh.seek(0, os.SEEK_END)
-        fh.seek(max(size - 1, 0))
-        if fh.read(1) in (b"", b"\n"):
-            return None
-        fh.seek(0)
-        tail = b""  # the last line, the only one without a newline, is set aside
-        for _ in _records(path, (x for x in fh if x.endswith(b"\n") or (tail := x) is None)):
-            pass
-    with open(path, "r+b") as fh:
-        fh.truncate(size - len(tail))
-    return tail.decode("utf-8", errors="replace")
-
-
 def merge(paths: Sequence[Path | str], out: Path | str) -> list[ResultRecord]:
     """Union record files keyed by (m, t); abort (no output) on any conflict."""
     merged: dict[tuple[int, int], ResultRecord] = {}
@@ -256,9 +233,30 @@ def merge(paths: Sequence[Path | str], out: Path | str) -> list[ResultRecord]:
     return records
 
 
-def resolved_keys(path: Path | str) -> set[tuple[int, int]]:
-    """(m, t) pairs already present in a record file; empty if absent."""
+def resolved_keys(path: Path | str) -> tuple[set[tuple[int, int]], Optional[str]]:
+    """The (m, t) pairs in a record file, none if it is absent, and the text
+    of an unterminated last line, as a crash inside append leaves it, or None.
+
+    One pass validates the complete lines; the torn line is set aside
+    unvalidated and cut off only after they have all validated, so a bad
+    line raises RecordValidationError and leaves the file as it was.  Only
+    a file with a torn line to cut is opened for writing.
+    """
     if not Path(path).exists():
-        return set()
+        return set(), None
+    tail = b""
+
+    def complete(lines: Iterable[bytes]) -> Iterator[bytes]:
+        nonlocal tail
+        for line in lines:
+            if line.endswith(b"\n"):
+                yield line
+            else:  # only the last line can lack its newline
+                tail = line
+
     with open(path, "rb") as fh:
-        return {(rec.m, rec.t) for rec in _records(path, fh)}
+        keys = {(rec.m, rec.t) for rec in _records(path, complete(fh))}
+        end = fh.tell() - len(tail)
+    if tail:
+        os.truncate(path, end)
+    return keys, tail.decode("utf-8", errors="replace") if tail else None

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from test_arith import LARGE_PAIRS
 
-from oddcycles import arith, resolver, search
+from oddcycles import arith, constructions, resolver, search, store
 from oddcycles.cli import build_parser, main
 from oddcycles.constructions import k4_triangle, triangle_cycle
 from oddcycles.resolver import Reason, compute_C
@@ -145,6 +145,16 @@ class TestSmallCommands:
         assert code == 0
         cert = "(-1061,8880,8882,-1063) (0,2,-7819,9943) (1061,-8882,-1063,-8880)"
         assert f"certificate: {cert}\n" in out
+
+    def test_k4_refuses_a_dimension_past_its_bound_before_building(self, capsys, monkeypatch):
+        # padding four points to m coordinates costs time and memory linear in m
+        def no_decomposition(x):
+            raise AssertionError(f"four_square_decomposition ran for x={x}")
+
+        monkeypatch.setattr(constructions, "four_square_decomposition", no_decomposition)
+        code, out, err = run(capsys, "c", "2000000", "2")
+        assert code == 2 and out == ""
+        assert err == "error: m must be in 4..1048576, got 2000000\n"
 
     def test_vectors_list(self, capsys):
         _, out, _ = run(capsys, "vectors", "22", "--list")
@@ -315,6 +325,44 @@ class TestVerifyRunMerge:
         assert code == 0
         recs = load(merged)
         assert [r.t for r in recs] == list(range(2, 101, 4))
+
+    def test_torn_resume_validates_each_complete_line_once(self, capsys, tmp_path, monkeypatch):
+        out_path = tmp_path / "r.jsonl"
+        run(capsys, "run", "--range", "2..30", "--out", str(out_path))
+        complete = out_path.read_text()
+        out_path.write_text(complete + '{"schema_version":1,"t":3')
+        calls = []
+        validate = store.ResultRecord.validate
+
+        def counted(rec):
+            calls.append((rec.m, rec.t))
+            return validate(rec)
+
+        monkeypatch.setattr(store.ResultRecord, "validate", counted)
+        code, _, err = run(capsys, "run", "--range", "2..30", "--out", str(out_path))
+        assert code == 0 and "unterminated last line" in err
+        assert calls == [(3, t) for t in range(2, 31, 4)]
+        assert out_path.read_text() == complete
+
+    def test_resume_with_nothing_to_do_opens_nothing_for_writing(
+        self, capsys, tmp_path, monkeypatch,
+    ):
+        out_path = tmp_path / "r.jsonl"
+        run(capsys, "run", "--range", "2..30", "--out", str(out_path))
+        out_path.chmod(0o444)
+        real_open = open
+
+        def read_only_open(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                raise PermissionError(f"read-only: {file}")
+            return real_open(file, mode, *args, **kwargs)
+
+        def no_truncate(path, length):
+            raise PermissionError(f"read-only: {path}")
+
+        monkeypatch.setattr("builtins.open", read_only_open)
+        monkeypatch.setattr(os, "truncate", no_truncate)
+        assert run(capsys, "run", "--range", "2..30", "--out", str(out_path)) == (0, "", "")
 
     def test_verify_bad_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"

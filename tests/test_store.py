@@ -16,7 +16,6 @@ from oddcycles.store import (
     ResultRecord,
     StoreConflictError,
     append,
-    drop_torn_tail,
     load,
     merge,
     resolved_keys,
@@ -231,7 +230,7 @@ class TestReasonGrid:
         def forbidden(*args):
             raise AssertionError("validate resolved the record again")
 
-        for name in ("triangle_cycle", "_ladder"):
+        for name in ("triangle_cycle", "min_odd_cycle"):
             monkeypatch.setattr(resolver, name, forbidden)
         for rec in records:
             rec.validate()
@@ -480,39 +479,42 @@ class TestMerge:
 
 class TestResolvedKeys:
     def test_missing_file_is_empty(self, tmp_path):
-        assert resolved_keys(tmp_path / "nope.jsonl") == set()
+        assert resolved_keys(tmp_path / "nope.jsonl") == (set(), None)
 
     def test_keys(self, tmp_path):
         path = tmp_path / "out.jsonl"
         append_to(path, record_22())
-        assert resolved_keys(path) == {(3, 22)}
+        assert resolved_keys(path) == ({(3, 22)}, None)
 
 
 class TestDropTornTail:
+    """resolved_keys cuts off a torn last line once the rest has validated."""
+
+    TORN = '{"schema_version":1,"t":2'
+
     def test_only_an_unterminated_last_line_is_cut(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        assert drop_torn_tail(path) is None
         append_to(path, record_22())
         whole = path.read_text()
-        assert drop_torn_tail(path) is None and path.read_text() == whole
+        assert resolved_keys(path) == ({(3, 22)}, None) and path.read_text() == whole
         with open(path, "a") as fh:
-            fh.write('{"schema_version":1,"t":2')
-        assert drop_torn_tail(path) == '{"schema_version":1,"t":2'
+            fh.write(self.TORN)
+        assert resolved_keys(path) == ({(3, 22)}, self.TORN)
         assert path.read_text() == whole
 
     def test_bad_complete_line_keeps_the_torn_tail(self, tmp_path):
         path = tmp_path / "out.jsonl"
         append_to(path, record_22())
-        text = path.read_text() + '{"schema_version":1}\n' + '{"schema_version":1,"t":2'
+        text = path.read_text() + '{"schema_version":1}\n' + self.TORN
         path.write_text(text)
         with pytest.raises(RecordValidationError, match="out.jsonl:2"):
-            drop_torn_tail(path)
+            resolved_keys(path)
         assert path.read_text() == text
 
     def test_lone_torn_line_leaves_empty_file(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        path.write_text('{"schema_version":1,"t":2')
-        assert drop_torn_tail(path) == '{"schema_version":1,"t":2'
+        path.write_text(self.TORN)
+        assert resolved_keys(path) == (set(), self.TORN)
         assert path.read_text() == "" and load(path) == []
 
 
@@ -553,10 +555,3 @@ class TestStreamingReads:
 
     def test_verify_counts_every_line(self, repeated):
         assert store.verify(repeated) == self.LINES
-
-    def test_intact_file_is_decided_by_its_last_byte(self, repeated, tmp_path):
-        assert traced_peak(drop_torn_tail, repeated) < repeated.stat().st_size / 10
-        # complete lines are not validated when there is no torn tail to cut
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"schema_version":1}\n')
-        assert drop_torn_tail(bad) is None
