@@ -265,6 +265,8 @@ def _add_row(out: list[Triple], n: int, c: int, primes: Iterable[int]) -> None:
 
     ``primes`` holds, increasing, exactly the odd primes up to some bound
     b >= sqrt(n) that divide n, so what is left of n is 1 or a prime.
+    Callers: enumerate_triples (a row's sieved primes) and
+    four_square_decomposition (every odd prime factor, c = n: no pair cut).
     """
     twos = (n & -n).bit_length() - 1
     m = n >> twos
@@ -336,24 +338,21 @@ def count_reps(z: int) -> int:
 
 
 def four_square_decomposition(x: int) -> tuple[int, int, int, int]:
-    """Lexicographically least 0 <= x1 <= x2 <= x3 <= x4 with sum of squares x."""
+    """Lexicographically least 0 <= x1 <= x2 <= x3 <= x4 with sum of squares x.
+
+    Each (x1, x2) level reads x3^2 + x4^2 = x - x1^2 - x2^2 from _add_row
+    on one factorization; an x1 leaving 4^a (8b + 7) is skipped (Legendre).
+    """
     _check_positive(x, "x")
     for x1 in range(isqrt(x // 4) + 1):
         r1 = x - x1 * x1
-        odd4 = r1
-        while odd4 % 4 == 0:
-            odd4 //= 4
-        if odd4 % 8 == 7:  # Legendre: 4^a (8b + 7) is no sum of three squares
+        if reduce_mod4(r1)[0] % 8 == 7:
             continue
-        x2 = x1
-        while 3 * x2 * x2 <= r1:
+        for x2 in range(x1, isqrt(r1 // 3) + 1):
             r2 = r1 - x2 * x2
-            x3 = x2
-            while 2 * x3 * x3 <= r2:
-                r3 = r2 - x3 * x3
-                x4 = isqrt(r3)
-                if x4 * x4 == r3 and x4 >= x3:
-                    return (x1, x2, x3, x4)
-                x3 += 1
-            x2 += 1
+            rows: list[Triple] = []
+            _add_row(rows, r2, r2, [p for p, _ in factorize(r2) if p > 2])
+            pairs = [(a, b) for a, b, _ in rows if a >= x2]
+            if pairs:
+                return (x1, x2, *min(pairs))
     raise AssertionError(f"no four-square decomposition found for {x}")

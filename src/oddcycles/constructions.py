@@ -116,12 +116,13 @@ def k4_points(m: int, r: int) -> tuple[tuple[int, ...], ...]:
     if r < 2 or r % 2 != 0:
         raise ValueError(f"r must be even and positive, got {r}")
     x1, x2, x3, x4 = four_square_decomposition(r // 2)
-    pad = (0,) * (m - 4)
-    p1 = (0, 0, 0, 0) + pad
-    p2 = (x1 - x2, x1 + x2, x3 - x4, x3 + x4) + pad
-    p3 = (x1 - x3, x2 + x4, x1 + x3, -x2 + x4) + pad
-    p4 = (x1 + x4, x2 + x3, -x2 + x3, -x1 + x4) + pad
-    points = (p1, p2, p3, p4)
+    points = (
+        (0, 0, 0, 0),
+        (x1 - x2, x1 + x2, x3 - x4, x3 + x4),
+        (x1 - x3, x2 + x4, x1 + x3, -x2 + x4),
+        (x1 + x4, x2 + x3, -x2 + x3, -x1 + x4),
+    )
+    # checked on the four core coordinates: zero padding changes no distance
     for i in range(4):
         for j in range(i + 1, 4):
             d = magnitude_sq(tuple(a - b for a, b in zip(points[i], points[j])))
@@ -130,7 +131,7 @@ def k4_points(m: int, r: int) -> tuple[tuple[int, ...], ...]:
                     f"K4 points for (m={m}, r={r}) have distance^2 {d} between "
                     f"P{i + 1} and P{j + 1}"
                 )
-    return points
+    return tuple(p + (0,) * (m - 4) for p in points)
 
 
 def k4_triangle(m: int, r: int) -> OddCycle:

@@ -590,9 +590,7 @@ def modified_five_cycle(t: int) -> SearchOutcome:
     if t % 4 != 2:
         raise ValueError(f"modified_five_cycle requires t = 2 (mod 4), got {t}")
     vs = vector_set(t)
-    nv = len(vs)
-    if nv == 0:
-        return SearchOutcome(5, None, 0)
+    nv = len(vs)  # > 0: t = 2 (mod 4) is never 4^a (8b + 7), so V(t) is not empty
     if len(vs.reps) * nv > MEMORY_BUDGET:
         return SearchOutcome(5, None, 0, budget_exceeded=True)
 

@@ -492,10 +492,10 @@ class TestCountReps:
         assert count_reps(z) == count_reps(4 * z)
 
 
-def four_square_scan(x: int) -> tuple[int, int, int, int]:
+def four_square_scan(x: int, x1: int = 0) -> tuple[int, int, int, int]:
     """four_square_decomposition as it was before the Legendre skip: every
-    x1 level scanned, O(x) time when x - x1^2 is no sum of three squares."""
-    x1 = 0
+    x1 level from ``x1`` on scanned, O(x) time when x - x1^2 is no sum of
+    three squares."""
     while 4 * x1 * x1 <= x:
         r1 = x - x1 * x1
         x2 = x1
@@ -528,6 +528,30 @@ class TestFourSquares:
 
     @pytest.mark.parametrize("x,expected", [(1, (0, 0, 0, 1)), (7, (1, 1, 1, 2))])
     def test_known_values(self, x, expected):
+        assert four_square_decomposition(x) == expected
+
+    def test_matches_scan_on_seeded_decades(self):
+        # 10 x per decade from 10^4 to 10^9.  At x = 4^a (8b + 7) the scan's
+        # x1 = 0 level takes O(x) steps to find nothing, as Legendre's theorem
+        # says (the test above checks that below 10^5), so there it starts at 1
+        rng = random.Random(30)
+        for k in range(4, 9):
+            for _ in range(10):
+                x = rng.randrange(10**k, 10 ** (k + 1))
+                x1 = 1 if reduce_mod4(x)[0] % 8 == 7 else 0
+                assert four_square_decomposition(x) == four_square_scan(x, x1), x
+
+    @pytest.mark.parametrize(
+        "x,expected",
+        [
+            # each checked once against an O(sqrt x)-per-level scan with the
+            # Legendre skip, too slow for the suite (about 6 minutes at 2^60 - 1)
+            (10**14 + 3, (0, 7, 833265, 9965223)),
+            (2**60 - 1, (1, 3, 364889, 1073741762)),
+            (2**62 - 1, (1, 1, 337817755, 2120746374)),
+        ],
+    )
+    def test_large_values_pinned(self, x, expected):
         assert four_square_decomposition(x) == expected
 
     @given(st.integers(min_value=1, max_value=5000))

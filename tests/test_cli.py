@@ -3,6 +3,7 @@
 import hashlib
 import os
 import re
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,7 +16,7 @@ from oddcycles import arith, constructions, resolver, search, store
 from oddcycles.cli import build_parser, main
 from oddcycles.constructions import k4_triangle, triangle_cycle
 from oddcycles.resolver import Reason, compute_C
-from oddcycles.search import SearchOutcome
+from oddcycles.search import OddCycle, SearchOutcome, verify_cycle
 from oddcycles.store import ResultRecord, load
 
 # sha256 of the records of run --range 2..1998 with elapsed_ms zeroed
@@ -145,6 +146,27 @@ class TestSmallCommands:
         assert code == 0
         cert = "(-1061,8880,8882,-1063) (0,2,-7819,9943) (1061,-8882,-1063,-8880)"
         assert f"certificate: {cert}\n" in out
+
+    @pytest.mark.parametrize("r", [2**61 - 2, 2**63 - 2])  # r/2 = 2^60 - 1, 2^62 - 1
+    def test_k4_certificate_at_63_bits_within_seconds(self, capsys, r):
+        # each four-square level of r/2 must cost one factorization: an
+        # O(sqrt r) scan per level runs for minutes at these r
+        def timeout(signum, frame):
+            raise TimeoutError(f"c 4 {r} ran past 10 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            code, out, _ = run(capsys, "c", "4", str(r))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0
+        assert f"C_4({r}) = 3\n" in out
+        cert = re.search(r"^certificate: (.*)$", out, re.M).group(1)
+        vectors = [tuple(map(int, v.strip("()").split(","))) for v in cert.split()]
+        assert len(vectors) == 3
+        assert verify_cycle(OddCycle.from_vectors(r, vectors)).valid
 
     def test_k4_refuses_a_dimension_past_its_bound_before_building(self, capsys, monkeypatch):
         # padding four points to m coordinates costs time and memory linear in m
@@ -294,6 +316,22 @@ class TestVerifyRunMerge:
         code, out, _ = run(capsys, "verify", "--in", str(out_path))
         assert code == 0
         assert out == "6 records verified\n"
+
+    def test_verify_skips_blank_lines(self, capsys, tmp_path):
+        out_path = tmp_path / "r.jsonl"
+        run(capsys, "run", "--range", "2..10", "--out", str(out_path))
+        out_path.write_text("\n" + out_path.read_text().replace("\n", "\n\n  \n"))
+        code, out, _ = run(capsys, "verify", "--in", str(out_path))
+        assert code == 0
+        assert out == "3 records verified\n"
+
+    @pytest.mark.parametrize("shards", [["--shards", "0"], ["--shards", "2", "--shard-id", "2"]])
+    def test_run_rejects_a_shard_id_outside_the_shards(self, capsys, tmp_path, shards):
+        out_path = tmp_path / "r.jsonl"
+        code, out, err = run(capsys, "run", "--range", "2..10", *shards, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == "need 0 <= shard-id < shards\n"
+        assert not out_path.exists()
 
     def test_run_records_match_pinned_digest(self, capsys, tmp_path):
         out_path = tmp_path / "r.jsonl"
@@ -446,11 +484,13 @@ class TestVerifyRunMerge:
          "null value and certificate"),
         # schema v1 knows two labels
         (dict(value=None, reason="Unresolved", algorithm="x"), "unknown algorithm 'x'"),
+        # 18 is class S, but a triangle value needs its triangle
+        (dict(t=18, value=3, reason="Triangle"), "reason Triangle requires a certificate"),
     ], ids=[
         "z4_certificate", "dim1_at_m3", "dim2_at_m3", "oddr_even_core",
         "oddr_at_c4_4", "dim2_at_odd_t", "oddr_at_m0",
         "searched_class_s", "searched_at_m5", "triangle_class_t", "k4_at_m3",
-        "unresolved_with_certificate", "unknown_algorithm",
+        "unresolved_with_certificate", "unknown_algorithm", "triangle_without_certificate",
     ])
     @pytest.mark.parametrize("command", ["verify", "merge", "run"])
     def test_forged_record(self, capsys, tmp_path, fields, message, command):

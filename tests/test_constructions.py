@@ -74,6 +74,10 @@ class TestTriangleCycle:
         with pytest.raises(ValueError):
             triangle_cycle(10)
 
+    def test_rejects_s_not_2_mod_4(self):
+        with pytest.raises(ValueError, match="s = 2 \\(mod 4\\)"):
+            triangle_cycle(4)
+
     def test_pair_matches_form_oracle(self, monkeypatch):
         # The (x, y) that triangle_cycle passes to param_cycle is the pair
         # the generic form search returns: least x, then least |y|, y > 0 first.
