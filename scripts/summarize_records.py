@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Summarize a record file of `oddcycles run` as JSON.
+"""Summarize a record file of `oddcycles run` as JSON, on stdout.
 
-The file is validated first (`store.verify`), then read once more for:
+One pass validates each record as `store.verify` does and gathers:
 
 - records: the number of records;
 - counts: the number of records per (value, reason);
@@ -12,10 +12,11 @@ The file is validated first (`store.verify`), then read once more for:
 - commit and command: what built the file, as given by --commit and
   --command (null when left out).
 
+A bad record raises RecordValidationError before anything is printed.
 Counts and above_5 of files over disjoint ranges add up to those of their
 union; the digest is one per file.
 
-usage: summarize_records.py FILE [--commit SHA] [--command CMD] [--out PATH]
+usage: summarize_records.py FILE [--commit SHA] [--command CMD] > out.json
 Needs oddcycles importable: installed, or PYTHONPATH=src in a checkout.
 """
 
@@ -30,15 +31,11 @@ from oddcycles import store
 
 
 def summarize(path: str) -> dict:
-    store.verify(path)
     counts: Counter = Counter()
     above_5 = []
     digest = hashlib.sha256()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = store.ResultRecord.from_json(line)
+    with open(path, "rb") as fh:
+        for rec in store._records(path, fh):
             counts[rec.value, rec.reason] += 1
             if rec.value is not None and rec.value > 5:
                 above_5.append({"m": rec.m, "t": rec.t, "value": rec.value})
@@ -62,17 +59,11 @@ def main() -> int:
     ap.add_argument("file", help="a record file written by `oddcycles run` or `merge`")
     ap.add_argument("--commit", help="the commit that built the file")
     ap.add_argument("--command", help="the command that built the file")
-    ap.add_argument("--out", help="write the JSON here instead of to stdout")
     args = ap.parse_args()
 
     summary = summarize(args.file)
     summary.update(commit=args.commit, command=args.command)
-    text = json.dumps(summary, indent=1) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps(summary, indent=1) + "\n")
     return 0
 
 

@@ -43,12 +43,16 @@ def test_build_chart_from_source_checkout(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 50
 
 
-def summarize(path, *args):
+def run_summarize(path, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "summarize_records.py"), str(path), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def summarize(path, *args):
+    proc = run_summarize(path, *args)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -97,6 +101,18 @@ class TestSummarizeRecords:
         assert counts(parts[0]) + counts(parts[1]) == counts(whole)
         assert above_5(parts[0]) + above_5(parts[1]) == above_5(whole)
         assert parts[0]["commit"] is None
+
+    def test_bad_record_prints_no_summary(self, tmp_path, capsys):
+        path = tmp_path / "r.jsonl"
+        assert cli_main(["run", "--range", "2..30", "--out", str(path)]) == 0
+        capsys.readouterr()
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace('"value":', '"value":1')
+        path.write_text("".join(lines))
+        proc = run_summarize(path)
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert f"{path}:4" in proc.stderr
 
     def test_committed_summary_to_a_million(self):
         summary = json.loads((DATA / "c3_summary_2_999999.json").read_text())
